@@ -12,7 +12,9 @@ from .bell import (
     ConstantMCurve,
     NonlocalityReport,
     bell_m_closed,
+    bell_m_closed_batch,
     bell_m_oracle,
+    bell_m_oracle_batch,
     constant_m_curve,
     heatmap_m,
     m_upper_bound,
@@ -53,7 +55,9 @@ from .hyperplanes import (
 from .regions import (
     RegionGeometry,
     classify_by_region,
+    classify_by_region_batch,
     dual_classify_by_region,
+    dual_classify_by_region_batch,
     l_minus,
     l_plus,
     region_emptiness,
@@ -62,13 +66,17 @@ from .regions import (
     sign_rule_fuzz,
 )
 from .spectra import (
+    CLASSES,
     SpectralReport,
     classify,
+    classify_batch,
     detect_type,
     detected_types,
     eig_hermitian4,
     group1_eigenvalues,
+    group1_eigenvalues_batch,
     group2_eigenvalues,
+    group2_eigenvalues_batch,
 )
 from .states import (
     Group1Params,
@@ -78,10 +86,14 @@ from .states import (
     StateDescriptorError,
     build_density_matrix,
     decompose_density_matrix,
+    density_batch,
     extract_group1_params,
     extract_group2_params,
+    group1_batch,
     group1_state,
+    group2_batch,
     group2_state,
+    hyperplane_batch,
     hyperplane_state,
     make_named_state,
     partial_transpose,

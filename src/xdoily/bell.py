@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .regions import classify_by_region
+from .regions import classify_by_region_batch, grid_rows
+from .spectra import INVALID
 from .states import Group2Params
 
 _CURVE_TOL = 1e-12
@@ -28,17 +29,28 @@ _CURVE_TOL = 1e-12
 REGIMES = ("circle-ellipse-arcs", "ellipse-only", "undefined")
 
 
+def bell_m_oracle_batch(beta) -> np.ndarray:
+    """Sum of the two largest eigenvalues of beta^T beta for a stack (..., 3, 3) (numeric route)."""
+    beta = np.asarray(beta, dtype=float)
+    if beta.shape[-2:] != (3, 3):
+        raise ValueError("expected 3x3 correlation matrices")
+    evals = np.linalg.eigvalsh(np.swapaxes(beta, -1, -2) @ beta)
+    return evals[..., 1] + evals[..., 2]
+
+
 def bell_m_oracle(beta) -> float:
     """Sum of the two largest eigenvalues of beta^T beta (numeric route)."""
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (3, 3):
         raise ValueError("expected a 3x3 correlation matrix")
-    evals = np.linalg.eigvalsh(beta.T @ beta)
-    return float(evals[1] + evals[2])
+    return float(bell_m_oracle_batch(beta[None])[0])
 
 
 @dataclass
 class NonlocalityReport:
+    """The closed-form measure and its ingredients; arrays over the batch
+    when returned by bell_m_closed_batch."""
+
     m_value: float
     b: float        # tr M^T M
     u: float        # sqrt(B^2 - 4 det(M)^2)
@@ -57,21 +69,31 @@ class NonlocalityReport:
         }
 
 
-def bell_m_closed(params: Group2Params) -> NonlocalityReport:
-    """Closed-form measure from generalised parameters; matches the oracle."""
+def bell_m_closed_batch(params: Group2Params) -> NonlocalityReport:
+    """Closed-form measure of a batch of generalised parameters; every field is an array."""
     m = np.asarray(params.m, dtype=float)
-    b = float(np.sum(m * m))
-    det = float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+    b = np.sum(m * m, axis=(-2, -1))
+    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
     u_sq = b * b - 4.0 * det * det
-    u = math.sqrt(max(u_sq, 0.0))  # nonnegative up to rounding
+    u = np.sqrt(np.maximum(u_sq, 0.0))  # nonnegative up to rounding
     m1 = 0.5 * (b - u)
     m2 = 0.5 * (b + u)
-    b0_sq = params.beta0 * params.beta0
-    if b0_sq < m1:
-        value, branch = b, "B"
-    else:
-        value, branch = b0_sq + m2, "beta0"
-    return NonlocalityReport(m_value=float(value), b=b, u=u, m1=m1, m2=m2, branch=branch)
+    beta0 = np.asarray(params.beta0, dtype=float)
+    b0_sq = beta0 * beta0
+    on_b = b0_sq < m1
+    return NonlocalityReport(
+        m_value=np.where(on_b, b, b0_sq + m2), b=b, u=u, m1=m1, m2=m2,
+        branch=np.where(on_b, "B", "beta0"),
+    )
+
+
+def bell_m_closed(params: Group2Params) -> NonlocalityReport:
+    """Closed-form measure from generalised parameters; matches the oracle."""
+    r = bell_m_closed_batch(params.as_batch())
+    return NonlocalityReport(
+        m_value=float(r.m_value[0]), b=float(r.b[0]), u=float(r.u[0]),
+        m1=float(r.m1[0]), m2=float(r.m2[0]), branch=str(r.branch[0]),
+    )
 
 
 @dataclass
@@ -235,12 +257,39 @@ def sample_constant_m_points(curve: ConstantMCurve, n: int) -> np.ndarray:
     return np.array(out)
 
 
+def evaluate_m_batch(beta0: float, beta3: float, beta4: float, beta1, beta2) -> np.ndarray:
+    """Closed-form measure at the (beta1, beta2) points of two equal-shape arrays."""
+    beta1, beta2 = np.broadcast_arrays(np.asarray(beta1, dtype=float), np.asarray(beta2, dtype=float))
+    m = np.empty(beta1.shape + (2, 2))
+    m[..., 0, 0], m[..., 0, 1] = beta1, beta2
+    m[..., 1, 0], m[..., 1, 1] = beta3, beta4
+    return bell_m_closed_batch(Group2Params(0.0, 0.0, beta0, m, 1)).m_value
+
+
 def evaluate_m_at(beta0: float, beta3: float, beta4: float, beta1: float, beta2: float) -> float:
     """Closed-form measure at one (beta1, beta2) point."""
-    params = Group2Params(
-        0.0, 0.0, beta0, np.array([[beta1, beta2], [beta3, beta4]]), 1
+    return float(evaluate_m_batch(beta0, beta3, beta4, [beta1], [beta2])[0])
+
+
+def m_upper_bound_batch(params: Group2Params) -> np.ndarray:
+    """m_upper_bound over a batch of parameters; raises if any radicand is negative."""
+    m = np.asarray(params.m, dtype=float)
+    b = np.sum(m * m, axis=(-2, -1))
+    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    t1, t2 = np.asarray(params.tau1, dtype=float), np.asarray(params.tau2, dtype=float)
+    beta0 = np.asarray(params.beta0, dtype=float)
+    b0_sq = beta0 * beta0
+    # Cross-term sign per type: minus for the type-1 form, plus for type 2.
+    radicand = (
+        (1.0 - b0_sq) ** 2
+        - 2.0 * b * (t1 * t1 + t2 * t2)
+        + ((-1.0) ** np.asarray(params.t)) * 8.0 * t1 * t2 * det
     )
-    return bell_m_closed(params).m_value
+    if np.any(radicand < -1e-12):
+        raise ValueError("negative radicand: the parameters do not describe a valid state")
+    radicand = np.maximum(radicand, 0.0)
+    b_ceiling = 1.0 + b0_sq - (t1 * t1 + t2 * t2)
+    return np.maximum(b_ceiling, b0_sq + 0.5 * (b_ceiling + np.sqrt(radicand)))
 
 
 def m_upper_bound(params: Group2Params) -> float:
@@ -254,22 +303,18 @@ def m_upper_bound(params: Group2Params) -> float:
     cannot occur for a valid state; it is reported as an error because it
     means the parameters do not describe one.
     """
-    m = np.asarray(params.m, dtype=float)
-    b = float(np.sum(m * m))
-    det = float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-    t1, t2 = params.tau1, params.tau2
-    b0_sq = params.beta0 * params.beta0
-    # Cross-term sign per type: minus for the type-1 form, plus for type 2.
-    radicand = (
-        (1.0 - b0_sq) ** 2
-        - 2.0 * b * (t1 * t1 + t2 * t2)
-        + ((-1.0) ** params.t) * 8.0 * t1 * t2 * det
-    )
-    if radicand < -1e-12:
-        raise ValueError("negative radicand: the parameters do not describe a valid state")
-    radicand = max(radicand, 0.0)
-    b_ceiling = 1.0 + b0_sq - (t1 * t1 + t2 * t2)
-    return max(b_ceiling, b0_sq + 0.5 * (b_ceiling + math.sqrt(radicand)))
+    return float(m_upper_bound_batch(params.as_batch())[0])
+
+
+def purity_equivalence_batch(params: Group2Params, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+    """(maximal, pure) per state of a batch: M = 2, and beta0^2 + B = 3, to within tol."""
+    if (np.abs(params.tau1) > tol).any() or (np.abs(params.tau2) > tol).any():
+        raise ValueError("the purity link is stated for tau1 = tau2 = 0")
+    report = bell_m_closed_batch(params)
+    beta0 = np.asarray(params.beta0, dtype=float)
+    maximal = np.abs(report.m_value - 2.0) <= tol
+    pure = np.abs(beta0 * beta0 + report.b - 3.0) <= tol
+    return maximal, pure
 
 
 def purity_equivalence_check(params: Group2Params, tol: float = 1e-9) -> str:
@@ -278,14 +323,10 @@ def purity_equivalence_check(params: Group2Params, tol: float = 1e-9) -> str:
     Meaningful for valid tau=0 parameters; returns "pure_and_maximal",
     "neither", or "violation_of_prop" when exactly one predicate holds.
     """
-    if abs(params.tau1) > tol or abs(params.tau2) > tol:
-        raise ValueError("the purity link is stated for tau1 = tau2 = 0")
-    report = bell_m_closed(params)
-    maximal = abs(report.m_value - 2.0) <= tol
-    pure = abs(params.beta0 * params.beta0 + report.b - 3.0) <= tol
-    if maximal and pure:
+    maximal, pure = purity_equivalence_batch(params.as_batch(), tol)
+    if maximal[0] and pure[0]:
         return "pure_and_maximal"
-    if not maximal and not pure:
+    if not maximal[0] and not pure[0]:
         return "neither"
     return "violation_of_prop"
 
@@ -298,23 +339,15 @@ def heatmap_m(
     Cells outside the validity region carry None.  Rows run over beta1
     (outer) then beta2 (inner).
     """
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
-    if t not in (1, 2):
-        raise ValueError("type tag must be 1 or 2")
-    step = 4.0 / resolution
-    centers = [-2.0 + (i + 0.5) * step for i in range(resolution)]
-    rows: list[tuple[float, float, float | None]] = []
-    for b1 in centers:
-        for b2 in centers:
-            params = Group2Params(
-                0.0, 0.0, beta0, np.array([[b1, b2], [beta3, beta4]]), t
-            )
-            if classify_by_region(params) == "invalid":
-                rows.append((b1, b2, None))
-            else:
-                rows.append((b1, b2, bell_m_closed(params).m_value))
-    return rows
+
+    def row_values(params: Group2Params) -> list:
+        # Python floats are made for valid cells only, as most cells are invalid.
+        valid = classify_by_region_batch(params) != INVALID
+        values = np.full(valid.shape, None, dtype=object)
+        values[valid] = bell_m_closed_batch(params).m_value[valid]
+        return values.tolist()
+
+    return grid_rows(beta0, beta3, beta4, t, resolution, row_values)
 
 
 def heatmap_csv(rows) -> str:

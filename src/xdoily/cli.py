@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import re
 import sys
 
 from . import __version__
 from .bell import bell_m_oracle, constant_m_curve, heatmap_csv, heatmap_m
-from .hyperplanes import catalog_table, hyperplane_records
+from .hyperplanes import catalog_table, hyperplane_census, hyperplane_records
 from .regions import classify_by_region, region_csv, region_params_for_state, sample_region
 from .spectra import classify
 from .states import StateDescriptorError, state_from_descriptor
@@ -28,19 +30,34 @@ EXIT_DATA = 65
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes a token with a leading minus for an option unless it
+        # is a plain decimal; widen that to anything starting like a number,
+        # so "--beta0 -1e-3" and "--c -0.3,0.4" parse.  No option of this
+        # parser starts with a digit, so none is shadowed.
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message: str):  # usage errors exit 64, not argparse's 2
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _point_pair(text: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected x,y got {text!r}")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected numbers, got {text!r}") from None
+    return _finite_float(parts[0]), _finite_float(parts[1])
 
 
 def _positive_int(text: str) -> int:
@@ -71,7 +88,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out")
 
     p = sub.add_parser("region", help="validity/separability/entanglement grid as CSV")
-    p.add_argument("--beta0", type=float, required=True)
+    p.add_argument("--beta0", type=_finite_float, required=True)
     p.add_argument("--c", type=_point_pair, required=True, metavar="B4,B3",
                    help="the point C = (beta4, beta3)")
     p.add_argument("--type", type=int, choices=(1, 2), default=1, dest="t")
@@ -79,15 +96,15 @@ def build_parser() -> _Parser:
     p.add_argument("--out")
 
     p = sub.add_parser("heatmap", help="Bell-measure grid over the validity region as CSV")
-    p.add_argument("--beta0", type=float, required=True)
+    p.add_argument("--beta0", type=_finite_float, required=True)
     p.add_argument("--c", type=_point_pair, required=True, metavar="B4,B3")
     p.add_argument("--type", type=int, choices=(1, 2), default=1, dest="t")
     p.add_argument("--resolution", type=_resolution, default=100)
     p.add_argument("--out")
 
     p = sub.add_parser("curve", help="constant-measure circle/ellipse data as JSON")
-    p.add_argument("--k", type=float, required=True)
-    p.add_argument("--beta0", type=float, required=True)
+    p.add_argument("--k", type=_finite_float, required=True)
+    p.add_argument("--beta0", type=_finite_float, required=True)
     p.add_argument("--c", type=_point_pair, required=True, metavar="B4,B3")
     p.add_argument("--out")
 
@@ -97,6 +114,18 @@ def build_parser() -> _Parser:
     p.add_argument("--draws", type=_positive_int, default=10000)
     p.add_argument("--out")
     return parser
+
+
+class NonFiniteResult(ValueError):
+    """A result to be printed as JSON holds NaN or an infinity."""
+
+
+def _json_text(payload) -> str:
+    """Strict JSON: a non-finite number is an error, never a NaN token."""
+    try:
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise NonFiniteResult("the result holds a non-finite number") from None
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -109,27 +138,22 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _run_catalog(args) -> int:
     if args.format == "table":
-        counts = {"perp": 0, "grid": 0, "ovoid": 0}
-        for rec in hyperplane_records():
-            counts[rec["kind"]] += 1
+        perps, grids, ovoids = hyperplane_census()
         text = catalog_table()
         text += "\n".join(
             [
                 "",
                 "Hyperplane census of W(3,2)",
-                f"perp-sets {counts['perp']:>3}",
-                f"grids     {counts['grid']:>3}",
-                f"ovoids    {counts['ovoid']:>3}",
-                f"total     {counts['perp'] + counts['grid'] + counts['ovoid']:>3}",
+                f"perp-sets {perps:>3}",
+                f"grids     {grids:>3}",
+                f"ovoids    {ovoids:>3}",
+                f"total     {perps + grids + ovoids:>3}",
             ]
         ) + "\n"
     else:
         from .hyperplanes import catalog_rows
 
-        text = json.dumps(
-            {"fano_planes": catalog_rows(), "hyperplanes": hyperplane_records()},
-            indent=2,
-        ) + "\n"
+        text = _json_text({"fano_planes": catalog_rows(), "hyperplanes": hyperplane_records()})
     _emit(text, args.out)
     return EXIT_OK
 
@@ -151,7 +175,7 @@ def _run_analyze(args) -> int:
     payload = report.to_json()
     payload["m_value"] = m_value
     payload["region_classification"] = region
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit(_json_text(payload), args.out)
     return EXIT_OK
 
 
@@ -172,7 +196,7 @@ def _run_heatmap(args) -> int:
 def _run_curve(args) -> int:
     beta4, beta3 = args.c
     curve = constant_m_curve(args.k, args.beta0, beta3, beta4)
-    _emit(json.dumps(curve.to_json(), indent=2) + "\n", args.out)
+    _emit(_json_text(curve.to_json()), args.out)
     return EXIT_OK
 
 
@@ -211,6 +235,9 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"unparsable JSON: {exc}\n")
+        return EXIT_DATA
+    except NonFiniteResult as exc:
+        sys.stderr.write(f"input out of range: {exc}\n")
         return EXIT_DATA
     except OSError as exc:
         sys.stderr.write(f"i/o failure: {exc}\n")

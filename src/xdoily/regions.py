@@ -19,25 +19,32 @@ spectral validity test, so both routes classify boundary states alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .gf2 import POINTS, point_to_pauli
 from .hyperplanes import group_of
-from .spectra import classify, detect_type
-from .states import Group2Params, extract_group2_params, group2_state
+from .spectra import CLASSES, ENTANGLED, INVALID, SEPARABLE, classify_batch, detect_type
+from .states import Group2Params, density_batch, extract_group2_params, group2_batch
 
 MEMBERSHIP_TOL = 1e-10
 
-CLASSES = ("invalid", "separable", "entangled")
+# States per kernel call in the sampling loops.  It bounds their working
+# memory, about 0.4 MiB at 256; larger chunks were no faster.
+DRAW_CHUNK = 256
 
 
 @dataclass
 class RegionGeometry:
-    """Planar data of a tau=0 Group-2 family."""
+    """Planar data of tau=0 Group-2 families.
+
+    Built from batched parameters, every field carries the batch shape in
+    front: the points become (..., 2) and the scalars (...).
+    """
 
     c: np.ndarray  # (beta4, beta3)
-    d: np.ndarray  # (beta1, beta2); stored for completeness, drives no logic
+    d: np.ndarray  # (beta1, beta2); center of the dual route's discs
     e: np.ndarray  # (beta1, -beta2)
     f: np.ndarray  # (beta4, -beta3)
     r: float       # 1 - |beta0|
@@ -47,72 +54,93 @@ class RegionGeometry:
     @property
     def l_plus(self) -> float:
         """Distance from C to -E."""
-        return float(np.hypot(*(self.c + self.e)))
+        return _norm(self.c + self.e)
 
     @property
     def l_minus(self) -> float:
         """Distance from C to E."""
-        return float(np.hypot(*(self.c - self.e)))
+        return _norm(self.c - self.e)
+
+
+def _norm(v: np.ndarray):
+    return np.hypot(v[..., 0], v[..., 1])
+
+
+def _disc_data(params: Group2Params):
+    """(b1, b2, b3, b4, r, R, s) of one parameter set or of a batch."""
+    m = np.asarray(params.m, dtype=float)
+    beta0 = np.asarray(params.beta0, dtype=float)
+    sign = np.where(beta0 >= 0.0, 1.0, -1.0) * (-1.0) ** np.asarray(params.t)
+    return (
+        m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1],
+        1.0 - np.abs(beta0), 1.0 + np.abs(beta0), sign,
+    )
 
 
 def region_geometry(params: Group2Params) -> RegionGeometry:
-    b1, b2 = float(params.m[0, 0]), float(params.m[0, 1])
-    b3, b4 = float(params.m[1, 0]), float(params.m[1, 1])
-    sign = 1.0 if params.beta0 >= 0.0 else -1.0
+    """Disc data of one parameter set or of a batch."""
+    b1, b2, b3, b4, r, big_r, sign = _disc_data(params)
     return RegionGeometry(
-        c=np.array([b4, b3]),
-        d=np.array([b1, b2]),
-        e=np.array([b1, -b2]),
-        f=np.array([b4, -b3]),
-        r=1.0 - abs(params.beta0),
-        big_r=1.0 + abs(params.beta0),
-        sign_factor=((-1.0) ** params.t) * sign,
+        c=np.stack([b4, b3], axis=-1),
+        d=np.stack([b1, b2], axis=-1),
+        e=np.stack([b1, -b2], axis=-1),
+        f=np.stack([b4, -b3], axis=-1),
+        r=r,
+        big_r=big_r,
+        sign_factor=sign[()],
     )
 
 
 def l_plus(params: Group2Params) -> float:
     """sqrt((b1 + b4)^2 + (b2 - b3)^2)."""
-    return region_geometry(params).l_plus
+    return float(region_geometry(params).l_plus)
 
 
 def l_minus(params: Group2Params) -> float:
     """sqrt((b1 - b4)^2 + (b2 + b3)^2)."""
-    return region_geometry(params).l_minus
-
-
-def _inside(point: np.ndarray, center: np.ndarray, radius: float, tol: float) -> bool:
-    return bool(np.hypot(*(point - center)) <= radius + tol)
+    return float(region_geometry(params).l_minus)
 
 
 def _require_tau_zero(params: Group2Params, tol: float) -> None:
-    if abs(params.tau1) > tol or abs(params.tau2) > tol:
+    if (np.abs(params.tau1) > tol).any() or (np.abs(params.tau2) > tol).any():
         raise ValueError("region classification requires tau1 = tau2 = 0")
+
+
+def _disc_verdicts(px, py, cx, cy, r, big_r, sign, tol: float) -> np.ndarray:
+    # With P = (px, py) and X = (cx, cy): valid when sP lies in (X, r) n (-X, R),
+    # separable when P lies in (X, r) n (-X, r), entangled otherwise.
+    sx, sy = sign * px, sign * py
+    r_tol = r + tol
+    valid = (np.hypot(sx - cx, sy - cy) <= r_tol) & (np.hypot(sx + cx, sy + cy) <= big_r + tol)
+    separable = (np.hypot(px - cx, py - cy) <= r_tol) & (np.hypot(px + cx, py + cy) <= r_tol)
+    return np.where(valid, np.where(separable, SEPARABLE, ENTANGLED), INVALID)
+
+
+def classify_by_region_batch(params: Group2Params, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
+    """Disc-membership verdicts (indices into CLASSES) of a batch of tau=0 parameters.
+
+    The point E = (b1, -b2) against discs centered at C = (b4, b3).
+    """
+    _require_tau_zero(params, tol)
+    b1, b2, b3, b4, r, big_r, sign = _disc_data(params)
+    return _disc_verdicts(b1, -b2, b4, b3, r, big_r, sign, tol)
+
+
+def dual_classify_by_region_batch(params: Group2Params, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
+    """Mirror-route verdicts, batched: the point F = (b4, -b3) against discs centered at D = (b1, b2)."""
+    _require_tau_zero(params, tol)
+    b1, b2, b3, b4, r, big_r, sign = _disc_data(params)
+    return _disc_verdicts(b4, -b3, b1, b2, r, big_r, sign, tol)
 
 
 def classify_by_region(params: Group2Params, tol: float = MEMBERSHIP_TOL) -> str:
     """Disc-membership classification; agrees with the PPT route."""
-    _require_tau_zero(params, tol)
-    g = region_geometry(params)
-    e_signed = g.sign_factor * g.e
-    valid = _inside(e_signed, g.c, g.r, tol) and _inside(e_signed, -g.c, g.big_r, tol)
-    if not valid:
-        return "invalid"
-    if _inside(g.e, g.c, g.r, tol) and _inside(g.e, -g.c, g.r, tol):
-        return "separable"
-    return "entangled"
+    return CLASSES[int(classify_by_region_batch(params.as_batch(), tol)[0])]
 
 
 def dual_classify_by_region(params: Group2Params, tol: float = MEMBERSHIP_TOL) -> str:
     """Mirror-route classification through D-centered discs and the point F."""
-    _require_tau_zero(params, tol)
-    g = region_geometry(params)
-    f_signed = g.sign_factor * g.f
-    valid = _inside(f_signed, g.d, g.r, tol) and _inside(f_signed, -g.d, g.big_r, tol)
-    if not valid:
-        return "invalid"
-    if _inside(g.f, g.d, g.r, tol) and _inside(g.f, -g.d, g.r, tol):
-        return "separable"
-    return "entangled"
+    return CLASSES[int(dual_classify_by_region_batch(params.as_batch(), tol)[0])]
 
 
 def region_emptiness(beta0: float, beta3: float, beta4: float) -> tuple[bool, bool]:
@@ -120,6 +148,31 @@ def region_emptiness(beta0: float, beta3: float, beta4: float) -> tuple[bool, bo
     c_sq = beta3 * beta3 + beta4 * beta4
     r = 1.0 - abs(beta0)
     return (c_sq <= 1.0, c_sq <= r * r)
+
+
+def grid_rows(beta0: float, beta3: float, beta4: float, t: int, resolution: int, row_values) -> list:
+    """Rows (beta1, beta2, value) over the cell centers of a resolution^2 grid on [-2, 2]^2.
+
+    Rows run over beta1 (outer) then beta2 (inner).  row_values maps the
+    tau=0 parameters of one grid row, a batch over beta2, to that row's
+    values; only one row's arrays are alive at a time.
+    """
+    if resolution < 2:
+        raise ValueError("resolution must be at least 2")
+    if t not in (1, 2):
+        raise ValueError("type tag must be 1 or 2")
+    step = 4.0 / resolution
+    centers = [-2.0 + (i + 0.5) * step for i in range(resolution)]
+    m = np.empty((resolution, 2, 2))
+    m[:, 0, 1] = centers
+    m[:, 1, 0] = beta3
+    m[:, 1, 1] = beta4
+    params = Group2Params(0.0, 0.0, beta0, m, t)
+    rows = []
+    for b1 in centers:
+        m[:, 0, 0] = b1
+        rows.extend(zip(repeat(b1), centers, row_values(params)))
+    return rows
 
 
 def sample_region(
@@ -130,20 +183,10 @@ def sample_region(
     Rows run over beta1 (outer) then beta2 (inner); each row carries the cell
     center coordinates and its class.
     """
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
-    if t not in (1, 2):
-        raise ValueError("type tag must be 1 or 2")
-    step = 4.0 / resolution
-    centers = [-2.0 + (i + 0.5) * step for i in range(resolution)]
-    rows = []
-    for b1 in centers:
-        for b2 in centers:
-            params = Group2Params(
-                0.0, 0.0, beta0, np.array([[b1, b2], [beta3, beta4]]), t
-            )
-            rows.append((b1, b2, classify_by_region(params)))
-    return rows
+    return grid_rows(
+        beta0, beta3, beta4, t, resolution,
+        lambda params: [CLASSES[k] for k in classify_by_region_batch(params).tolist()],
+    )
 
 
 def region_csv(rows) -> str:
@@ -190,12 +233,20 @@ def _first_type1_center() -> int:
     raise RuntimeError("no family follows the first closed form")
 
 
+# A fuzz run keeps drawing past its requested draws until this many draws
+# qualified, within SIGN_RULE_ATTEMPTS_PER_TEST attempts per qualifying draw.
+SIGN_RULE_MIN_TESTED = 20
+SIGN_RULE_ATTEMPTS_PER_TEST = 200
+
+
 def sign_rule_fuzz(draws: int, seed: int = 42, center: int | None = None) -> SignRuleReport:
     """Check beta0 < 0 iff L+ > L- over random valid entangled tau=0 states.
 
     The rule is stated for the first closed form, so draws are embedded in a
     family of type 1; validity and entanglement are decided by the numeric
-    PPT route, keeping the check independent of the disc geometry.
+    PPT route, keeping the check independent of the disc geometry.  At
+    least `draws` states are drawn, more when fewer than
+    SIGN_RULE_MIN_TESTED of them qualified; the report counts them all.
     """
     if draws < 0:
         raise ValueError("draws must be nonnegative")
@@ -204,20 +255,24 @@ def sign_rule_fuzz(draws: int, seed: int = 42, center: int | None = None) -> Sig
     elif detect_type(center) != 1:
         raise ValueError(f"{point_to_pauli(center)} is not a type-1 family")
     rng = np.random.default_rng(seed)
+    attempt_cap = max(draws, SIGN_RULE_ATTEMPTS_PER_TEST * SIGN_RULE_MIN_TESTED)
+    attempts = 0
     tested = 0
     counterexamples = []
-    for _ in range(draws):
-        beta0 = float(rng.uniform(-1.0, 1.0))
-        m = rng.uniform(-1.0, 1.0, (2, 2))
-        state = group2_state(center, 0.0, 0.0, beta0, m)
-        report = classify(state)
-        if not (report.valid and report.entangled) or abs(beta0) <= 1e-12:
-            continue
-        tested += 1
-        params = Group2Params(0.0, 0.0, beta0, m, 1)
-        if (beta0 < 0.0) != (l_plus(params) > l_minus(params)):
-            if len(counterexamples) < 10:
-                counterexamples.append(
-                    {"beta0": beta0, "m": m.tolist(), "l_plus": l_plus(params), "l_minus": l_minus(params)}
-                )
-    return SignRuleReport(draws=draws, tested=tested, counterexamples=counterexamples)
+    while attempts < draws or (tested < SIGN_RULE_MIN_TESTED and attempts < attempt_cap):
+        n = min(DRAW_CHUNK, (draws if attempts < draws else attempt_cap) - attempts)
+        attempts += n
+        x = rng.uniform(-1.0, 1.0, (n, 5))  # per draw: beta0, then M row-major
+        beta0, m = x[:, 0], x[:, 1:].reshape(n, 2, 2)
+        verdicts = classify_batch(density_batch(group2_batch(center, 0.0, 0.0, beta0, m)))[2]
+        keep = (verdicts == ENTANGLED) & (np.abs(beta0) > 1e-12)
+        tested += int(np.count_nonzero(keep))
+        params = Group2Params(0.0, 0.0, beta0[keep], m[keep], 1)
+        g = region_geometry(params)
+        lp, lm = g.l_plus, g.l_minus
+        for k in np.flatnonzero((params.beta0 < 0.0) != (lp > lm))[: 10 - len(counterexamples)]:
+            counterexamples.append(
+                {"beta0": float(params.beta0[k]), "m": params.m[k].tolist(),
+                 "l_plus": float(lp[k]), "l_minus": float(lm[k])}
+            )
+    return SignRuleReport(draws=attempts, tested=tested, counterexamples=counterexamples)

@@ -19,7 +19,8 @@ from .states import (
     Group2Params,
     HyperplaneState,
     build_density_matrix,
-    group2_state,
+    density_batch,
+    group2_batch,
     partial_transpose,
 )
 
@@ -27,34 +28,89 @@ from .states import (
 # below zero; anything beyond it counts as genuinely negative.
 VALIDITY_TOL = 1e-10
 
+# Verdicts; the batch classifiers of every route return indices into this.
+CLASSES = ("invalid", "separable", "entangled")
+INVALID, SEPARABLE, ENTANGLED = range(3)
+
 
 def eig_hermitian4(h, hermitian_tol: float = 1e-12) -> np.ndarray:
-    """Ascending eigenvalues of a 4x4 Hermitian matrix.
+    """Ascending eigenvalues of a 4x4 Hermitian matrix, or (..., 4) of a stack (..., 4, 4).
 
     Rejects inputs that are not Hermitian to within hermitian_tol.
     """
     h = np.asarray(h, dtype=complex)
-    if h.shape != (4, 4):
+    if h.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {h.shape}")
-    if np.max(np.abs(h - h.conj().T)) > hermitian_tol:
+    if h.size and np.max(np.abs(h - np.swapaxes(h, -1, -2).conj())) > hermitian_tol:
         raise ValueError("matrix is not Hermitian to tolerance")
     return np.linalg.eigvalsh(h)
 
 
-def group1_eigenvalues(params: Group1Params) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form spectrum of a Group-1 state; equals that of its partial transpose."""
-    plus = float(np.linalg.norm(params.beta + params.tau))
-    minus = float(np.linalg.norm(params.beta - params.tau))
-    t0 = params.tau0
-    eigs = np.sort(
+def group1_eigenvalues_batch(params: Group1Params) -> np.ndarray:
+    """Closed-form spectra (..., 4) of Group-1 states; each equals its partial-transpose spectrum."""
+    tau, beta = np.asarray(params.tau, dtype=float), np.asarray(params.beta, dtype=float)
+    plus = np.linalg.norm(beta + tau, axis=-1)
+    minus = np.linalg.norm(beta - tau, axis=-1)
+    t0 = np.asarray(params.tau0, dtype=float)
+    eigs = np.stack(
         [
             0.25 * (1.0 + t0 + plus),
             0.25 * (1.0 + t0 - plus),
             0.25 * (1.0 - t0 + minus),
             0.25 * (1.0 - t0 - minus),
-        ]
+        ],
+        axis=-1,
     )
+    return np.sort(eigs, axis=-1)
+
+
+def group1_eigenvalues(params: Group1Params) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form spectrum of a Group-1 state; equals that of its partial transpose."""
+    eigs = group1_eigenvalues_batch(params.as_batch())[0]
     return eigs, eigs.copy()
+
+
+def group2_eigenvalues_batch(params: Group2Params) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form spectra (rho, partial transpose), each (..., 4), of Group-2 families.
+
+    The two forms differ by swapping the spectra; params.t selects which one
+    applies, per state when it is an array.
+    """
+    m = np.asarray(params.m, dtype=float)
+    b1, b2 = m[..., 0, 0], m[..., 0, 1]
+    b3, b4 = m[..., 1, 0], m[..., 1, 1]
+    t1, t2 = np.asarray(params.tau1, dtype=float), np.asarray(params.tau2, dtype=float)
+    b0 = np.asarray(params.beta0, dtype=float)
+    t = np.asarray(params.t)
+    bad = t[(t != 1) & (t != 2)]
+    if bad.size:
+        raise ValueError(f"type tag must be 1 or 2, got {bad.flat[0].item()!r}")
+
+    def spectrum(rad_plus, rad_minus) -> np.ndarray:
+        # Half spectra 1/4 (1 + shift +- radical) at shifts b0 and -b0.
+        return np.sort(
+            np.stack(
+                [
+                    0.25 * (1.0 + b0 + rad_plus),
+                    0.25 * (1.0 + b0 - rad_plus),
+                    0.25 * (1.0 - b0 + rad_minus),
+                    0.25 * (1.0 - b0 - rad_minus),
+                ],
+                axis=-1,
+            ),
+            axis=-1,
+        )
+
+    lam = spectrum(
+        np.sqrt((b1 - b4) ** 2 + (b2 + b3) ** 2 + (t1 + t2) ** 2),
+        np.sqrt((b1 + b4) ** 2 + (b2 - b3) ** 2 + (t1 - t2) ** 2),
+    )
+    gam = spectrum(
+        np.sqrt((b1 + b4) ** 2 + (b2 - b3) ** 2 + (t1 + t2) ** 2),
+        np.sqrt((b1 - b4) ** 2 + (b2 + b3) ** 2 + (t1 - t2) ** 2),
+    )
+    swap = (t == 2)[..., None]
+    return np.where(swap, gam, lam), np.where(swap, lam, gam)
 
 
 def group2_eigenvalues(params: Group2Params) -> tuple[np.ndarray, np.ndarray]:
@@ -63,27 +119,8 @@ def group2_eigenvalues(params: Group2Params) -> tuple[np.ndarray, np.ndarray]:
     The two forms differ by swapping the spectra; params.t selects which one
     applies.
     """
-    b1, b2 = params.m[0, 0], params.m[0, 1]
-    b3, b4 = params.m[1, 0], params.m[1, 1]
-    t1, t2 = params.tau1, params.tau2
-    b0 = params.beta0
-
-    def half_spectrum(shift: float, radical: float) -> list[float]:
-        return [0.25 * (1.0 + shift + radical), 0.25 * (1.0 + shift - radical)]
-
-    rad_diag = float(np.sqrt((b1 - b4) ** 2 + (b2 + b3) ** 2 + (t1 + t2) ** 2))
-    rad_sum = float(np.sqrt((b1 + b4) ** 2 + (b2 - b3) ** 2 + (t1 - t2) ** 2))
-    lam = np.sort(half_spectrum(b0, rad_diag) + half_spectrum(-b0, rad_sum))
-
-    rad_diag_g = float(np.sqrt((b1 + b4) ** 2 + (b2 - b3) ** 2 + (t1 + t2) ** 2))
-    rad_sum_g = float(np.sqrt((b1 - b4) ** 2 + (b2 + b3) ** 2 + (t1 - t2) ** 2))
-    gam = np.sort(half_spectrum(b0, rad_diag_g) + half_spectrum(-b0, rad_sum_g))
-
-    if params.t == 2:
-        lam, gam = gam, lam
-    elif params.t != 1:
-        raise ValueError(f"type tag must be 1 or 2, got {params.t!r}")
-    return lam, gam
+    lam, gam = group2_eigenvalues_batch(params.as_batch())
+    return lam[0], gam[0]
 
 
 @dataclass
@@ -110,14 +147,30 @@ class SpectralReport:
         }
 
 
-def classify_matrix(rho, tol: float = VALIDITY_TOL) -> SpectralReport:
-    """PPT classification of an arbitrary 4x4 Hermitian matrix."""
+def classify_batch(rho, tol: float = VALIDITY_TOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """PPT classification of a stack (..., 4, 4) of Hermitian matrices.
+
+    Returns the spectra of rho and of its partial transpose, and the
+    verdicts as indices into CLASSES.
+    """
     eigs_rho = eig_hermitian4(rho)
     eigs_gamma = eig_hermitian4(partial_transpose(rho))
-    valid = bool(eigs_rho[0] >= -tol)
-    entangled = bool(valid and eigs_gamma[0] < -tol)
-    separable = bool(valid and not entangled)
-    return SpectralReport(eigs_rho, eigs_gamma, valid, separable, entangled)
+    valid = eigs_rho[..., 0] >= -tol
+    entangled = eigs_gamma[..., 0] < -tol
+    verdicts = np.where(valid, np.where(entangled, ENTANGLED, SEPARABLE), INVALID)
+    return eigs_rho, eigs_gamma, verdicts
+
+
+def classify_matrix(rho, tol: float = VALIDITY_TOL) -> SpectralReport:
+    """PPT classification of an arbitrary 4x4 Hermitian matrix."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
+    eigs_rho, eigs_gamma, verdicts = classify_batch(rho[None], tol=tol)
+    verdict = int(verdicts[0])
+    return SpectralReport(
+        eigs_rho[0], eigs_gamma[0], verdict != INVALID, verdict == SEPARABLE, verdict == ENTANGLED
+    )
 
 
 def classify(state: HyperplaneState, tol: float = VALIDITY_TOL) -> SpectralReport:
@@ -143,22 +196,15 @@ def detect_type(center: int, draws: int = 120, seed: int = 20, tol: float = 1e-8
     if cached is not None:
         return cached
     rng = np.random.default_rng((seed, center))
-    alive = {1: True, 2: True}
-    for _ in range(draws):
-        tau1, tau2, beta0 = rng.uniform(-1.0, 1.0, 3)
-        m = rng.uniform(-1.0, 1.0, (2, 2))
-        state = group2_state(center, tau1, tau2, beta0, m)
-        rho = build_density_matrix(state)
-        eigs = eig_hermitian4(rho)
-        eigs_g = eig_hermitian4(partial_transpose(rho))
-        for t in (1, 2):
-            if not alive[t]:
-                continue
-            lam, gam = group2_eigenvalues(Group2Params(tau1, tau2, beta0, m, t))
-            if np.max(np.abs(lam - eigs)) > tol or np.max(np.abs(gam - eigs_g)) > tol:
-                alive[t] = False
-        if not alive[1] and not alive[2]:
-            break
+    x = rng.uniform(-1.0, 1.0, (draws, 7))  # per draw: tau1, tau2, beta0, then M row-major
+    tau1, tau2, beta0, m = x[:, 0], x[:, 1], x[:, 2], x[:, 3:].reshape(draws, 2, 2)
+    rho = density_batch(group2_batch(center, tau1, tau2, beta0, m))
+    eigs = eig_hermitian4(rho)
+    eigs_g = eig_hermitian4(partial_transpose(rho))
+    alive = {}
+    for t in (1, 2):
+        lam, gam = group2_eigenvalues_batch(Group2Params(tau1, tau2, beta0, m, t))
+        alive[t] = bool(np.all(np.abs(lam - eigs) <= tol) and np.all(np.abs(gam - eigs_g) <= tol))
     label = point_to_pauli(center)
     if alive[1] == alive[2]:
         state_word = "neither" if not alive[1] else "both"

@@ -40,8 +40,57 @@ _PAULI4 = {a + b: np.kron(_P1[a], _P1[b]) for a in "IXYZ" for b in "IXYZ"}
 for _m in _PAULI4.values():
     _m.setflags(write=False)
 
-# All 15 nontrivial labels in canonical point order.
+# All 15 nontrivial labels in canonical point order.  A coefficient vector
+# holds one real per label in this order; batches stack vectors as (..., 15).
 ALL_LABELS = tuple(point_to_pauli(p) for p in POINTS)
+_SLOT = {label: k for k, label in enumerate(ALL_LABELS)}
+
+# The 15 Pauli matrices in ALL_LABELS order, read-only.
+PAULI_TENSOR = np.stack([_PAULI4[label] for label in ALL_LABELS])
+PAULI_TENSOR.setflags(write=False)
+
+
+def _flat_index(label: str) -> int:
+    """Position of a label in StateCoeffs' flat layout (tau_a, tau_b, beta row-major)."""
+    a, b = label
+    if b == "I":
+        return "XYZ".index(a)
+    if a == "I":
+        return 3 + "XYZ".index(b)
+    return 6 + 3 * "XYZ".index(a) + "XYZ".index(b)
+
+
+_FLAT_OF_SLOT = np.array([_flat_index(label) for label in ALL_LABELS])
+_BETA_SLOTS = np.array([[_SLOT[a + b] for b in "XYZ"] for a in "XYZ"])
+
+
+def _group1_slots(label: str) -> list[int]:
+    # (tau0, tau, beta): the center's own slot, the other factor's Bloch
+    # slots, then the correlations sharing the center's axis.
+    a, b = label
+    if a == "I":
+        return [_SLOT[label]] + [_SLOT[x + "I"] for x in "XYZ"] + [_SLOT[x + b] for x in "XYZ"]
+    return [_SLOT[label]] + [_SLOT["I" + x] for x in "XYZ"] + [_SLOT[a + x] for x in "XYZ"]
+
+
+def _group2_slots(label: str) -> list[int]:
+    # (tau1, tau2, beta0, M row-major): M's rows and columns run over the
+    # axes other than the center's, in x, y, z order.
+    a, b = label
+    m = [_SLOT[r + s] for r in "XYZ" if r != a for s in "XYZ" if s != b]
+    return [_SLOT[a + "I"], _SLOT["I" + b], _SLOT[label]] + m
+
+
+# Row p gives the vector slots of the generalised parameters of the family
+# centered at point p; rows of the other group hold -1.
+_GROUP1_SLOTS = np.full((16, 7), -1)
+_GROUP2_SLOTS = np.full((16, 7), -1)
+for _p in POINTS:
+    _label = point_to_pauli(_p)
+    if "I" in _label:
+        _GROUP1_SLOTS[_p] = _group1_slots(_label)
+    else:
+        _GROUP2_SLOTS[_p] = _group2_slots(_label)
 
 _AXIS_FOR_PAULI = {"X": "x", "Y": "y", "Z": "z"}
 
@@ -116,6 +165,16 @@ class StateCoeffs:
     def copy(self) -> "StateCoeffs":
         return StateCoeffs(self.tau_a.copy(), self.tau_b.copy(), self.beta.copy())
 
+    def vector(self) -> np.ndarray:
+        """The 15 coefficients as a vector in ALL_LABELS order."""
+        return np.concatenate((self.tau_a, self.tau_b, self.beta.ravel()))[_FLAT_OF_SLOT]
+
+    @classmethod
+    def from_vector(cls, vector) -> "StateCoeffs":
+        flat = np.empty(15)
+        flat[_FLAT_OF_SLOT] = vector
+        return cls(flat[:3].copy(), flat[3:6].copy(), flat[6:].reshape(3, 3).copy())
+
 
 @dataclass
 class HyperplaneState:
@@ -145,6 +204,15 @@ def hyperplane_state(hyperplane: Hyperplane, coefficients=None) -> HyperplaneSta
             )
         coeffs.set(label, value)
     return HyperplaneState(hyperplane, coeffs)
+
+
+def hyperplane_batch(hyperplane: Hyperplane, values) -> np.ndarray:
+    """Coefficient vectors (..., 15) from values (..., k) on the hyperplane's
+    k labels, taken in hyperplane.labels() order."""
+    values = np.asarray(values, dtype=float)
+    out = np.zeros(values.shape[:-1] + (15,))
+    out[..., [_SLOT[label] for label in hyperplane.labels()]] = values
+    return out
 
 
 def state_from_descriptor(obj) -> HyperplaneState:
@@ -178,13 +246,27 @@ def state_descriptor(state: HyperplaneState) -> dict:
     }
 
 
-def density_from_coeffs(coeffs: StateCoeffs) -> np.ndarray:
-    rho = np.eye(4, dtype=complex)
-    for label in ALL_LABELS:
-        v = coeffs.get(label)
-        if v:
-            rho = rho + v * _PAULI4[label]
+def density_batch(vectors) -> np.ndarray:
+    """Density matrices (..., 4, 4) of coefficient vectors (..., 15).
+
+    Terms are added in ALL_LABELS order, skipping slots that are zero in
+    every vector of the batch.
+    """
+    c = np.asarray(vectors, dtype=float)
+    rho = np.zeros(c.shape[:-1] + (4, 4), dtype=complex)
+    rho[..., range(4), range(4)] = 1.0
+    for k in np.flatnonzero(c.reshape(-1, 15).any(axis=0)):
+        rho += c[..., k, None, None] * PAULI_TENSOR[k]
     return rho / 4.0
+
+
+def beta_batch(vectors) -> np.ndarray:
+    """Correlation matrices (..., 3, 3) of coefficient vectors (..., 15)."""
+    return np.asarray(vectors, dtype=float)[..., _BETA_SLOTS]
+
+
+def density_from_coeffs(coeffs: StateCoeffs) -> np.ndarray:
+    return density_batch(coeffs.vector())
 
 
 def build_density_matrix(state: HyperplaneState) -> np.ndarray:
@@ -204,9 +286,14 @@ def decompose_density_matrix(rho) -> StateCoeffs:
 
 
 def partial_transpose(rho) -> np.ndarray:
-    """Transpose over the second tensor factor: entry (2a+b, 2c+d) -> (2a+d, 2c+b)."""
-    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
-    return r.transpose(0, 3, 2, 1).reshape(4, 4)
+    """Transpose over the second tensor factor: entry (2a+b, 2c+d) -> (2a+d, 2c+b).
+
+    Takes one 4x4 matrix or a stack (..., 4, 4).
+    """
+    rho = np.asarray(rho, dtype=complex)
+    lead = rho.shape[:-2]
+    r = rho.reshape(lead + (2, 2, 2, 2))
+    return np.swapaxes(r, -3, -1).reshape(lead + (4, 4))
 
 
 def reduced_states(rho) -> tuple[np.ndarray, np.ndarray]:
@@ -221,12 +308,22 @@ class Group1Params:
 
     tau0 is the coefficient of the center's own observable, tau the Bloch
     coordinates of the other subsystem, and beta[i] the correlation
-    coefficient sharing its single-qubit axis with tau[i].
+    coefficient sharing its single-qubit axis with tau[i].  The batch
+    kernels accept fields with a common leading batch shape: tau0 (...),
+    tau and beta (..., 3).
     """
 
     tau0: float
     tau: np.ndarray
     beta: np.ndarray
+
+    def as_batch(self) -> "Group1Params":
+        """These parameters as a batch of one state."""
+        return Group1Params(
+            np.asarray([self.tau0], dtype=float),
+            np.asarray(self.tau, dtype=float)[None],
+            np.asarray(self.beta, dtype=float)[None],
+        )
 
 
 @dataclass
@@ -237,7 +334,8 @@ class Group2Params:
     complementary 2x2 correlation block, rows following the remaining
     first-factor axes and columns the remaining second-factor axes, both in
     x, y, z order.  t tags which of the two closed eigenvalue forms the
-    family follows.
+    family follows.  The batch kernels accept fields with a common leading
+    batch shape: tau1, tau2, beta0 and t (...), m (..., 2, 2).
     """
 
     tau1: float
@@ -246,23 +344,88 @@ class Group2Params:
     m: np.ndarray
     t: int
 
+    def as_batch(self) -> "Group2Params":
+        """These parameters as a batch of one state."""
+        return Group2Params(
+            np.asarray([self.tau1], dtype=float),
+            np.asarray([self.tau2], dtype=float),
+            np.asarray([self.beta0], dtype=float),
+            np.asarray(self.m, dtype=float)[None],
+            np.asarray([self.t]),
+        )
+
+
+def _slots(table: np.ndarray, center, group: int) -> np.ndarray:
+    slots = table[np.asarray(center)]
+    if np.any(slots < 0):
+        raise ValueError(f"center is not a Group-{group} point")
+    return slots
+
+
+def _scatter(slots: np.ndarray, *components) -> np.ndarray:
+    shape = np.broadcast_shapes(slots.shape[:-1], *(np.shape(c) for c in components))
+    out = np.zeros(shape + (15,))
+    if slots.ndim == 1:  # one family for the whole batch
+        for slot, value in zip(slots, components):
+            out[..., slot] = value
+    else:
+        values = np.stack(np.broadcast_arrays(*components), axis=-1)
+        np.put_along_axis(out, np.broadcast_to(slots, values.shape), values, axis=-1)
+    return out
+
+
+def _gather(slots: np.ndarray, vectors) -> np.ndarray:
+    vectors = np.asarray(vectors, dtype=float)
+    return np.take_along_axis(vectors, np.broadcast_to(slots, vectors.shape[:-1] + (7,)), axis=-1)
+
+
+def group1_batch(center, tau0, tau, beta) -> np.ndarray:
+    """Coefficient vectors (..., 15) of Group-1 perp-set states.
+
+    center is one Group-1 point or one per state; the parameters broadcast
+    against each other with tau and beta of shape (..., 3).
+    """
+    tau, beta = np.asarray(tau, dtype=float), np.asarray(beta, dtype=float)
+    return _scatter(
+        _slots(_GROUP1_SLOTS, center, 1),
+        tau0, tau[..., 0], tau[..., 1], tau[..., 2], beta[..., 0], beta[..., 1], beta[..., 2],
+    )
+
+
+def group2_batch(center, tau1, tau2, beta0, m) -> np.ndarray:
+    """Coefficient vectors (..., 15) of Group-2 perp-set states.
+
+    center is one Group-2 point or one per state; the parameters broadcast
+    against each other with m of shape (..., 2, 2).
+    """
+    m = np.asarray(m, dtype=float)
+    return _scatter(
+        _slots(_GROUP2_SLOTS, center, 2),
+        tau1, tau2, beta0, m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1],
+    )
+
+
+def group1_params_batch(center, vectors) -> Group1Params:
+    """Group-1 parameters read from coefficient vectors (..., 15)."""
+    v = _gather(_slots(_GROUP1_SLOTS, center, 1), vectors)
+    return Group1Params(v[..., 0], v[..., 1:4], v[..., 4:7])
+
+
+def group2_params_batch(center, vectors, t) -> Group2Params:
+    """Group-2 parameters read from coefficient vectors (..., 15).
+
+    For grids, center is the associated Group-2 center.
+    """
+    v = _gather(_slots(_GROUP2_SLOTS, center, 2), vectors)
+    return Group2Params(v[..., 0], v[..., 1], v[..., 2], v[..., 3:].reshape(v.shape[:-1] + (2, 2)), t)
+
 
 def extract_group1_params(state: HyperplaneState) -> Group1Params:
     h = state.hyperplane
     if h.kind != "perp" or group_of(h.center) != 1:
         raise ValueError("extract_group1_params needs a Group-1 perp-set state")
-    label = point_to_pauli(h.center)
-    a, b = label
-    c = state.coeffs
-    if a == "I":
-        tau0 = c.tau_b[_AXIS[_AXIS_FOR_PAULI[b]]]
-        tau = c.tau_a.copy()
-        beta = c.beta[:, _AXIS[_AXIS_FOR_PAULI[b]]].copy()
-    else:
-        tau0 = c.tau_a[_AXIS[_AXIS_FOR_PAULI[a]]]
-        tau = c.tau_b.copy()
-        beta = c.beta[_AXIS[_AXIS_FOR_PAULI[a]], :].copy()
-    return Group1Params(float(tau0), tau, beta)
+    p = group1_params_batch(h.center, state.coeffs.vector())
+    return Group1Params(float(p.tau0), p.tau, p.beta)
 
 
 def extract_group2_params(state: HyperplaneState, t: int | None = None) -> Group2Params:
@@ -282,66 +445,35 @@ def extract_group2_params(state: HyperplaneState, t: int | None = None) -> Group
         center = associated_center(h)  # rejects Q0
     else:
         raise ValueError("ovoid states have no beta0/M split")
-    a, b = point_to_pauli(center)
-    i, j = _AXIS[_AXIS_FOR_PAULI[a]], _AXIS[_AXIS_FOR_PAULI[b]]
-    rows = [r for r in range(3) if r != i]
-    cols = [s for s in range(3) if s != j]
-    c = state.coeffs
     if t is None:
         from .spectra import detect_type
 
         t = detect_type(center)
-    return Group2Params(
-        tau1=float(c.tau_a[i]),
-        tau2=float(c.tau_b[j]),
-        beta0=float(c.beta[i, j]),
-        m=c.beta[np.ix_(rows, cols)].copy(),
-        t=int(t),
-    )
+    p = group2_params_batch(center, state.coeffs.vector(), int(t))
+    return Group2Params(float(p.tau1), float(p.tau2), float(p.beta0), p.m, p.t)
 
 
 def group2_state(center: int, tau1, tau2, beta0, m) -> HyperplaneState:
     """Perp-set state of a Group-2 center built from generalised parameters."""
     if group_of(center) != 2:
         raise ValueError("group2_state needs a Group-2 center")
-    a, b = point_to_pauli(center)
-    i, j = _AXIS[_AXIS_FOR_PAULI[a]], _AXIS[_AXIS_FOR_PAULI[b]]
-    rows = [r for r in range(3) if r != i]
-    cols = [s for s in range(3) if s != j]
     m = np.asarray(m, dtype=float)
     if m.shape != (2, 2):
         raise ValueError("m must be a 2x2 block")
-    coeffs = StateCoeffs.zeros()
-    coeffs.tau_a[i] = float(tau1)
-    coeffs.tau_b[j] = float(tau2)
-    coeffs.beta[i, j] = float(beta0)
-    for ri, r in enumerate(rows):
-        for ci, s in enumerate(cols):
-            coeffs.beta[r, s] = m[ri, ci]
-    return HyperplaneState(perp_set(center), coeffs)
+    vector = group2_batch(center, float(tau1), float(tau2), float(beta0), m)
+    return HyperplaneState(perp_set(center), StateCoeffs.from_vector(vector))
 
 
 def group1_state(center: int, tau0, tau, beta) -> HyperplaneState:
     """Perp-set state of a Group-1 center built from generalised parameters."""
     if group_of(center) != 1:
         raise ValueError("group1_state needs a Group-1 center")
-    a, b = point_to_pauli(center)
     tau = np.asarray(tau, dtype=float)
     beta = np.asarray(beta, dtype=float)
     if tau.shape != (3,) or beta.shape != (3,):
         raise ValueError("tau and beta must be 3-vectors")
-    coeffs = StateCoeffs.zeros()
-    if a == "I":
-        j = _AXIS[_AXIS_FOR_PAULI[b]]
-        coeffs.tau_b[j] = float(tau0)
-        coeffs.tau_a[:] = tau
-        coeffs.beta[:, j] = beta
-    else:
-        i = _AXIS[_AXIS_FOR_PAULI[a]]
-        coeffs.tau_a[i] = float(tau0)
-        coeffs.tau_b[:] = tau
-        coeffs.beta[i, :] = beta
-    return HyperplaneState(perp_set(center), coeffs)
+    vector = group1_batch(center, float(tau0), tau, beta)
+    return HyperplaneState(perp_set(center), StateCoeffs.from_vector(vector))
 
 
 _Q5_LABELS = ("XI", "ZI", "IX", "IZ", "XX", "YY", "ZZ", "ZX", "XZ")

@@ -14,11 +14,12 @@ import numpy as np
 
 from .bell import (
     bell_m_closed,
-    bell_m_oracle,
+    bell_m_closed_batch,
+    bell_m_oracle_batch,
     constant_m_curve,
-    evaluate_m_at,
-    m_upper_bound,
-    purity_equivalence_check,
+    evaluate_m_batch,
+    m_upper_bound_batch,
+    purity_equivalence_batch,
     sample_constant_m_points,
 )
 from .gf2 import (
@@ -46,28 +47,34 @@ from .hyperplanes import (
     symplectic_transformations,
 )
 from .regions import (
-    classify_by_region,
-    dual_classify_by_region,
+    DRAW_CHUNK,
+    classify_by_region_batch,
+    dual_classify_by_region_batch,
     region_emptiness,
     sample_region,
     sign_rule_fuzz,
 )
 from .spectra import (
-    classify,
+    CLASSES,
+    ENTANGLED,
+    INVALID,
+    classify_batch,
     detect_type,
     detected_types,
     eig_hermitian4,
-    group1_eigenvalues,
-    group2_eigenvalues,
+    group1_eigenvalues_batch,
+    group2_eigenvalues_batch,
 )
 from .states import (
     Group2Params,
-    build_density_matrix,
-    extract_group1_params,
+    beta_batch,
+    density_batch,
     extract_group2_params,
-    group1_state,
-    group2_state,
-    hyperplane_state,
+    group1_batch,
+    group1_params_batch,
+    group2_batch,
+    group2_params_batch,
+    hyperplane_batch,
     make_named_state,
     partial_transpose,
 )
@@ -91,11 +98,29 @@ def _group2_centers() -> list[int]:
     return [p for p in POINTS if group_of(p) == 2]
 
 
-def _random_state(hyperplane, rng):
-    labels = hyperplane.labels()
-    return hyperplane_state(
-        hyperplane, {lab: float(v) for lab, v in zip(labels, rng.uniform(-1, 1, len(labels)))}
-    )
+def _group2_families() -> tuple[np.ndarray, np.ndarray]:
+    """The Group-2 centers and their type tags, as arrays indexed by family."""
+    centers = _group2_centers()
+    return np.array(centers), np.array([detect_type(c) for c in centers])
+
+
+def _chunks(total: int):
+    """Sizes of the kernel calls that together cover `total` draws."""
+    for done in range(0, total, DRAW_CHUNK):
+        yield min(DRAW_CHUNK, total - done)
+
+
+def _random_vectors(hyperplane, rng, n: int) -> np.ndarray:
+    """n states with coefficients uniform in [-1, 1] on the hyperplane's labels."""
+    return hyperplane_batch(hyperplane, rng.uniform(-1, 1, (n, hyperplane.size)))
+
+
+def _max_abs(x: np.ndarray) -> float:
+    return float(np.max(np.abs(x), initial=0.0))
+
+
+def _count(mask: np.ndarray) -> int:
+    return int(np.count_nonzero(mask))
 
 
 def geometry_suite(seed: int = 42, draws: int = 0) -> list[CheckResult]:
@@ -221,19 +246,17 @@ def spectral_suite(seed: int = 42, draws: int = 1000) -> list[CheckResult]:
     max_sum_err = 0.0
     g1_sep_violations = 0
     for center in _group1_centers():
-        for _ in range(draws):
-            state = group1_state(
-                center, rng.uniform(-1, 1), rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
-            )
-            rho = build_density_matrix(state)
+        for n in _chunks(draws):
+            x = rng.uniform(-1, 1, (n, 7))  # per draw: tau0, tau, beta
+            vectors = group1_batch(center, x[:, 0], x[:, 1:4], x[:, 4:7])
+            rho = density_batch(vectors)
             eigs = eig_hermitian4(rho)
             eigs_g = eig_hermitian4(partial_transpose(rho))
-            lam, gam = group1_eigenvalues(extract_group1_params(state))
-            max_err = max(max_err, float(np.max(np.abs(lam - eigs))), float(np.max(np.abs(gam - eigs_g))))
-            max_multiset = max(max_multiset, float(np.max(np.abs(eigs - eigs_g))))
-            max_sum_err = max(max_sum_err, abs(float(np.sum(eigs)) - 1.0))
-            if eigs[0] >= -tol and eigs_g[0] < -tol:
-                g1_sep_violations += 1
+            lam = group1_eigenvalues_batch(group1_params_batch(center, vectors))
+            max_err = max(max_err, _max_abs(lam - eigs), _max_abs(lam - eigs_g))
+            max_multiset = max(max_multiset, _max_abs(eigs - eigs_g))
+            max_sum_err = max(max_sum_err, _max_abs(eigs.sum(axis=-1) - 1.0))
+            g1_sep_violations += _count((eigs[:, 0] >= -tol) & (eigs_g[:, 0] < -tol))
     checks.append(
         CheckResult(
             "spectral",
@@ -263,16 +286,15 @@ def spectral_suite(seed: int = 42, draws: int = 1000) -> list[CheckResult]:
     max_err2 = 0.0
     for center in _group2_centers():
         t = types[point_to_pauli(center)]
-        for _ in range(draws):
-            tau1, tau2, beta0 = rng.uniform(-1, 1, 3)
-            m = rng.uniform(-1, 1, (2, 2))
-            state = group2_state(center, tau1, tau2, beta0, m)
-            rho = build_density_matrix(state)
+        for n in _chunks(draws):
+            x = rng.uniform(-1, 1, (n, 7))  # per draw: tau1, tau2, beta0, M row-major
+            tau1, tau2, beta0, m = x[:, 0], x[:, 1], x[:, 2], x[:, 3:].reshape(n, 2, 2)
+            rho = density_batch(group2_batch(center, tau1, tau2, beta0, m))
             eigs = eig_hermitian4(rho)
             eigs_g = eig_hermitian4(partial_transpose(rho))
-            lam, gam = group2_eigenvalues(Group2Params(tau1, tau2, beta0, m, t))
-            max_err2 = max(max_err2, float(np.max(np.abs(lam - eigs))), float(np.max(np.abs(gam - eigs_g))))
-            max_sum_err = max(max_sum_err, abs(float(np.sum(eigs)) - 1.0))
+            lam, gam = group2_eigenvalues_batch(Group2Params(tau1, tau2, beta0, m, t))
+            max_err2 = max(max_err2, _max_abs(lam - eigs), _max_abs(gam - eigs_g))
+            max_sum_err = max(max_sum_err, _max_abs(eigs.sum(axis=-1) - 1.0))
     checks.append(
         CheckResult(
             "spectral",
@@ -301,10 +323,9 @@ def spectral_suite(seed: int = 42, draws: int = 1000) -> list[CheckResult]:
     ovoid_sep_violations = 0
     ovoid_draws = max(1, draws // 2)
     for ovoid in ovoids():
-        for _ in range(ovoid_draws):
-            report = classify(_random_state(ovoid, rng))
-            if report.valid and report.entangled:
-                ovoid_sep_violations += 1
+        for n in _chunks(ovoid_draws):
+            verdicts = classify_batch(density_batch(_random_vectors(ovoid, rng, n)))[2]
+            ovoid_sep_violations += _count(verdicts == ENTANGLED)
     checks.append(
         CheckResult(
             "spectral",
@@ -319,24 +340,26 @@ def spectral_suite(seed: int = 42, draws: int = 1000) -> list[CheckResult]:
 def region_suite(seed: int = 42, draws: int = 10000) -> list[CheckResult]:
     checks: list[CheckResult] = []
     rng = np.random.default_rng(seed)
-    centers = _group2_centers()
-    types = {c: detect_type(c) for c in centers}
+    centers, types = _group2_families()
 
     mismatches = []
     dual_mismatches = []
-    for n in range(draws):
-        center = centers[n % len(centers)]
-        beta0 = float(rng.uniform(-1, 1))
-        m = rng.uniform(-1, 1, (2, 2))
-        params = Group2Params(0.0, 0.0, beta0, m, types[center])
-        spectral = classify(group2_state(center, 0.0, 0.0, beta0, m)).verdict
-        region = classify_by_region(params)
-        if region != spectral and len(mismatches) < 5:
-            mismatches.append({"center": point_to_pauli(center), "beta0": beta0, "m": m.tolist(),
-                               "region": region, "spectral": spectral})
-        dual = dual_classify_by_region(params)
-        if dual != region and len(dual_mismatches) < 5:
-            dual_mismatches.append({"center": point_to_pauli(center), "beta0": beta0, "m": m.tolist()})
+    done = 0
+    for n in _chunks(draws):
+        family = (done + np.arange(n)) % len(centers)  # draw k goes to family k mod 9
+        done += n
+        x = rng.uniform(-1, 1, (n, 5))  # per draw: beta0, then M row-major
+        beta0, m = x[:, 0], x[:, 1:].reshape(n, 2, 2)
+        params = Group2Params(0.0, 0.0, beta0, m, types[family])
+        spectral = classify_batch(density_batch(group2_batch(centers[family], 0.0, 0.0, beta0, m)))[2]
+        region = classify_by_region_batch(params)
+        dual = dual_classify_by_region_batch(params)
+        for k in np.flatnonzero(region != spectral)[: 5 - len(mismatches)]:
+            mismatches.append({"center": point_to_pauli(int(centers[family[k]])), "beta0": float(beta0[k]),
+                               "m": m[k].tolist(), "region": CLASSES[region[k]], "spectral": CLASSES[spectral[k]]})
+        for k in np.flatnonzero(dual != region)[: 5 - len(dual_mismatches)]:
+            dual_mismatches.append({"center": point_to_pauli(int(centers[family[k]])), "beta0": float(beta0[k]),
+                                    "m": m[k].tolist()})
     checks.append(
         CheckResult(
             "region",
@@ -398,21 +421,21 @@ def region_suite(seed: int = 42, draws: int = 10000) -> list[CheckResult]:
 def nonlocality_suite(seed: int = 42, draws: int = 10000) -> list[CheckResult]:
     checks: list[CheckResult] = []
     rng = np.random.default_rng(seed)
-    centers = _group2_centers()
-    types = {c: detect_type(c) for c in centers}
+    centers, types = _group2_families()
 
     # Closed form against the oracle, across the nine perp families and the
     # nine non-Q0 grids (which share the same correlation support).
-    families = [perp_set(c) for c in centers] + [g for g in grids() if g.index != 0]
+    families = [(perp_set(c), c) for c in _group2_centers()]
+    families += [(g, associated_center(g)) for g in grids() if g.index != 0]
     per_family = max(10, draws // len(families))
     max_err = 0.0
-    for h in families:
-        for _ in range(per_family):
-            state = _random_state(h, rng)
-            params = extract_group2_params(state, t=1)  # type irrelevant for the measure
-            closed = bell_m_closed(params).m_value
-            oracle = bell_m_oracle(state.coeffs.beta)
-            max_err = max(max_err, abs(closed - oracle))
+    for h, center in families:
+        for n in _chunks(per_family):
+            vectors = _random_vectors(h, rng, n)
+            # The type tag is irrelevant for the measure.
+            closed = bell_m_closed_batch(group2_params_batch(center, vectors, 1)).m_value
+            oracle = bell_m_oracle_batch(beta_batch(vectors))
+            max_err = max(max_err, _max_abs(closed - oracle))
     checks.append(
         CheckResult(
             "nonlocality",
@@ -431,25 +454,25 @@ def nonlocality_suite(seed: int = 42, draws: int = 10000) -> list[CheckResult]:
     bell_viol = 0
     bell_hits = 0
     while collected < draws and attempts < 100 * draws:
-        attempts += 1
-        center = centers[attempts % len(centers)]
-        beta0 = float(rng.uniform(-1, 1))
-        m = rng.uniform(-1, 1, (2, 2))
-        params = Group2Params(0.0, 0.0, beta0, m, types[center])
-        if classify_by_region(params) == "invalid":
-            continue
-        collected += 1
-        m_val = bell_m_closed(params).m_value
-        if m_val > 1.0 + beta0 * beta0 + 1e-10:
-            bound_viol += 1
-        if not (-1e-10 <= m_val <= 2.0 + 1e-10):
-            range_viol += 1
-        if purity_equivalence_check(params) == "violation_of_prop":
-            purity_viol += 1
-        if m_val > 1.0:
-            bell_hits += 1
-            if not classify(group2_state(center, 0.0, 0.0, beta0, m)).entangled:
-                bell_viol += 1
+        n = min(DRAW_CHUNK, 100 * draws - attempts)
+        family = (attempts + 1 + np.arange(n)) % len(centers)  # attempt k goes to family k mod 9
+        attempts += n
+        x = rng.uniform(-1, 1, (n, 5))  # per draw: beta0, then M row-major
+        verdicts = classify_by_region_batch(Group2Params(0.0, 0.0, x[:, 0], x[:, 1:].reshape(n, 2, 2), types[family]))
+        keep = np.flatnonzero(verdicts != INVALID)[: draws - collected]
+        collected += len(keep)
+        family, beta0, m = family[keep], x[keep, 0], x[keep, 1:].reshape(-1, 2, 2)
+        params = Group2Params(0.0, 0.0, beta0, m, types[family])
+        m_val = bell_m_closed_batch(params).m_value
+        bound_viol += _count(m_val > 1.0 + beta0 * beta0 + 1e-10)
+        range_viol += _count((m_val < -1e-10) | (m_val > 2.0 + 1e-10))
+        maximal, pure = purity_equivalence_batch(params)
+        purity_viol += _count(maximal != pure)
+        hot = m_val > 1.0
+        bell_hits += _count(hot)
+        if hot.any():
+            rho = density_batch(group2_batch(centers[family[hot]], 0.0, 0.0, beta0[hot], m[hot]))
+            bell_viol += _count(classify_batch(rho)[2] != ENTANGLED)
     checks.append(
         CheckResult(
             "nonlocality",
@@ -495,21 +518,21 @@ def nonlocality_suite(seed: int = 42, draws: int = 10000) -> list[CheckResult]:
 
     # General-tau ceiling on valid draws (validity via the numeric route).
     general_target = max(100, draws // 10)
+    general_cap = 200 * general_target
     general_viol = 0
     general_seen = 0
     general_attempts = 0
-    while general_seen < general_target and general_attempts < 200 * general_target:
-        general_attempts += 1
-        center = centers[general_attempts % len(centers)]
-        tau1, tau2, beta0 = rng.uniform(-1, 1, 3)
-        m = rng.uniform(-1, 1, (2, 2))
-        state = group2_state(center, tau1, tau2, beta0, m)
-        if not classify(state).valid:
-            continue
-        general_seen += 1
-        params = Group2Params(tau1, tau2, beta0, m, types[center])
-        if bell_m_closed(params).m_value > m_upper_bound(params) + 1e-10:
-            general_viol += 1
+    while general_seen < general_target and general_attempts < general_cap:
+        n = min(DRAW_CHUNK, general_cap - general_attempts)
+        family = (general_attempts + 1 + np.arange(n)) % len(centers)
+        general_attempts += n
+        x = rng.uniform(-1, 1, (n, 7))  # per draw: tau1, tau2, beta0, M row-major
+        tau1, tau2, beta0, m = x[:, 0], x[:, 1], x[:, 2], x[:, 3:].reshape(n, 2, 2)
+        verdicts = classify_batch(density_batch(group2_batch(centers[family], tau1, tau2, beta0, m)))[2]
+        keep = np.flatnonzero(verdicts != INVALID)[: general_target - general_seen]
+        general_seen += len(keep)
+        params = Group2Params(tau1[keep], tau2[keep], beta0[keep], m[keep], types[family[keep]])
+        general_viol += _count(bell_m_closed_batch(params).m_value > m_upper_bound_batch(params) + 1e-10)
     checks.append(
         CheckResult(
             "nonlocality",
@@ -526,8 +549,8 @@ def nonlocality_suite(seed: int = 42, draws: int = 10000) -> list[CheckResult]:
         curve = constant_m_curve(k, beta0, b3, b4)
         if curve.regime == "undefined":
             continue
-        for b1, b2 in sample_constant_m_points(curve, 64):
-            curve_err = max(curve_err, abs(evaluate_m_at(beta0, b3, b4, b1, b2) - k))
+        pts = sample_constant_m_points(curve, 64)
+        curve_err = max(curve_err, _max_abs(evaluate_m_batch(beta0, b3, b4, pts[:, 0], pts[:, 1]) - k))
         c_sq = b3 * b3 + b4 * b4
         expect_crossings = beta0 * beta0 <= c_sq
         if bool(curve.intersections) != expect_crossings:
@@ -553,10 +576,10 @@ def nonlocality_suite(seed: int = 42, draws: int = 10000) -> list[CheckResult]:
     lr_draws = max(50, draws // 20)
     lr_viol = 0
     for h in [perp_set(c) for c in _group1_centers()] + list(ovoids()):
-        for _ in range(lr_draws):
-            state = _random_state(h, rng)
-            if classify(state).valid and bell_m_oracle(state.coeffs.beta) > 1.0 + 1e-10:
-                lr_viol += 1
+        for n in _chunks(lr_draws):
+            vectors = _random_vectors(h, rng, n)
+            valid = classify_batch(density_batch(vectors))[2] != INVALID
+            lr_viol += _count(valid & (bell_m_oracle_batch(beta_batch(vectors)) > 1.0 + 1e-10))
     checks.append(
         CheckResult(
             "nonlocality",

@@ -4,6 +4,7 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 
 from xdoily import cli
@@ -196,3 +197,57 @@ def test_unknown_flag_is_usage_error():
 def test_missing_verb_is_usage_error():
     code, _, _ = run_cli()
     assert code == 64
+
+
+def test_region_negative_c_space_separated():
+    code, out, _ = run_cli("region", "--c", "-0.3,0.4", "--beta0", "0.45", "--resolution", "4")
+    assert code == 0
+    assert out == run_cli("region", "--c=-0.3,0.4", "--beta0=0.45", "--resolution", "4")[1]
+
+
+def test_region_negative_exponent_beta0_space_separated():
+    code, out, _ = run_cli("region", "--beta0", "-1e-3", "--c", "0.4,-0.3", "--resolution", "4")
+    assert code == 0
+    assert out == run_cli("region", "--beta0=-1e-3", "--c=0.4,-0.3", "--resolution", "4")[1]
+
+
+def test_curve_negative_beta0_space_separated():
+    code, out, _ = run_cli("curve", "--k", "1", "--beta0", "-2e-1", "--c", "-.6,0")
+    assert code == 0
+    assert json.loads(out)["regime"] == "circle-ellipse-arcs"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("region", "--beta0", "nan", "--c", "0.4,-0.3"),
+        ("heatmap", "--beta0", "inf", "--c", "0.4,-0.3"),
+        ("region", "--beta0", "0.1", "--c", "0.4,-inf"),
+        ("curve", "--k", "nan", "--beta0", "0.45", "--c", "0.6,0"),
+        ("curve", "--k", "1e400", "--beta0", "0.45", "--c", "0.6,0"),
+    ],
+)
+def test_non_finite_number_is_usage_error(argv):
+    code, out, err = run_cli(*argv)
+    assert code == 64
+    assert out == ""
+    assert "finite" in err
+
+
+@pytest.mark.parametrize("argv", [("region", "--draws", "1"), ("all", "--draws", "3")])
+def test_verify_small_draws_pass(argv):
+    code, out, _ = run_cli("verify", *argv)
+    assert code == 0
+    assert out.strip().endswith("result: PASS")
+
+
+def test_analyze_overflowing_result_is_data_error(tmp_path):
+    # beta^T beta overflows, so the measure is not finite: no NaN/Infinity JSON
+    path = _write_state(
+        tmp_path, {"hyperplane": {"kind": "perp", "id": "IX"}, "coefficients": {"XX": 1e200}}
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run_cli("analyze", path)
+    assert code == 65
+    assert out == ""
+    assert "non-finite" in err

@@ -2,9 +2,9 @@
 """Closed-form spectra against the numeric eigensolver, and PPT classification.
 
 Group-1 families share one spectrum with their partial transpose, so they
-can never entangle; Group-2 families follow one of two closed forms (which
-one is detected empirically) and entangle when the partial transpose goes
-negative.  The Werner family locates both thresholds.
+can never entangle; Group-2 families follow one of two closed forms (the
+second exactly when one factor of the center is Y) and entangle when the
+partial transpose goes negative.  The Werner family locates both thresholds.
 """
 
 import numpy as np

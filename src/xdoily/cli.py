@@ -158,9 +158,19 @@ def _run_catalog(args) -> int:
     return EXIT_OK
 
 
+def _unique_keys(pairs) -> dict:
+    """JSON object hook: a repeated key is an error, not a silent overwrite."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise StateDescriptorError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _run_analyze(args) -> int:
     with open(args.state_file, "r", encoding="utf-8") as fh:
-        descriptor = json.load(fh)
+        descriptor = json.load(fh, object_pairs_hook=_unique_keys)
     state = state_from_descriptor(descriptor)
     report = classify(state)
     m_value = bell_m_oracle(state.coeffs.beta)

@@ -14,6 +14,7 @@ All functions here are pure and operate on immutable values.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from itertools import combinations
 
@@ -26,14 +27,20 @@ _PAULI_BY_CODE = {(0, 0): "I", (0, 1): "X", (1, 0): "Z", (1, 1): "Y"}
 _CODE_BY_PAULI = {char: code for code, char in _PAULI_BY_CODE.items()}
 
 
-def _check_point(p: int) -> None:
-    if not isinstance(p, int) or not 1 <= p <= 15:
+def _as_point(p) -> Point:
+    """p as a plain int; any integral type but bool is accepted."""
+    try:
+        value = operator.index(p)
+    except TypeError:
+        value = 0
+    if isinstance(p, bool) or not 1 <= value <= 15:
         raise ValueError(f"not a point of PG(3,2): {p!r}")
+    return value
 
 
 def coords(p: Point) -> tuple[int, int, int, int]:
     """Coordinate tuple (x1, x2, x3, x4) of a point."""
-    _check_point(p)
+    p = _as_point(p)
     return ((p >> 3) & 1, (p >> 2) & 1, (p >> 1) & 1, p & 1)
 
 
@@ -86,16 +93,14 @@ def symplectic_form(p: Point, q: Point) -> int:
     Vanishes exactly when the labelled observables commute; symmetric and
     alternating (sigma(p, p) = 0).
     """
-    _check_point(p)
-    _check_point(q)
+    p, q = _as_point(p), _as_point(q)
     swapped = ((q & 0b1010) >> 1) | ((q & 0b0101) << 1)
     return (p & swapped).bit_count() & 1
 
 
 def point_sum(p: Point, q: Point) -> Point:
     """Third point on the line through two distinct points (componentwise XOR)."""
-    _check_point(p)
-    _check_point(q)
+    p, q = _as_point(p), _as_point(q)
     if p == q:
         raise ValueError("point_sum needs two distinct points (sum would be zero)")
     return p ^ q
@@ -109,7 +114,7 @@ def enumerate_lines() -> tuple[Line, ...]:
 
 
 def lines_through(p: Point) -> tuple[Line, ...]:
-    _check_point(p)
+    p = _as_point(p)
     return tuple(line for line in enumerate_lines() if p in line)
 
 
@@ -136,5 +141,5 @@ def isotropic_lines() -> tuple[Line, ...]:
 
 def fano_plane(p: Point) -> tuple[Point, ...]:
     """F_p = {q : sigma(p, q) = 0}: the 7 points commuting with p, p included."""
-    _check_point(p)
+    p = _as_point(p)
     return tuple(q for q in POINTS if symplectic_form(p, q) == 0)

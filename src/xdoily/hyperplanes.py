@@ -9,10 +9,12 @@ Hyperplanes are stored as 15-bit masks, bit p-1 standing for point p.
 Grid indices pin Q0 to the hyperbolic quadric x1 x2 + x3 x4 + x1 + x2 + x3
 + x4 = 0, the unique grid whose points all carry two nontrivial Pauli
 factors; the remaining grids are numbered 1..9 by ascending mask.  Ovoids
-would be led by the one with the largest stabilizer inside Sp(4,2), but all
-six stabilizers turn out to share order 120, so ovoids fall back to
-ascending-mask order 1..6.  No index-level agreement with any particular
-drawing of the Doily is claimed.
+are numbered 1..6 by ascending mask: all six have stabilizers of order 120
+inside Sp(4,2), so none stands out to lead.  No index-level agreement with
+any particular drawing of the Doily is claimed.
+
+The 720 point maps of Sp(4,2) are built on first use, by stabilizer_order
+and rotational_grid_families; the enumeration itself never needs them.
 """
 
 from __future__ import annotations
@@ -178,17 +180,6 @@ def stabilizer_order(mask: int) -> int:
     return sum(1 for t in symplectic_transformations() if transform_mask(mask, t) == mask)
 
 
-def _ordered_ovoid_masks(masks: tuple[int, ...]) -> tuple[int, ...]:
-    # Lead with the ovoid of maximal stabilizer order; the rule ties (all six
-    # have order 120), in which case ascending mask order is used throughout.
-    orders = [stabilizer_order(m) for m in masks]
-    best = max(orders)
-    if orders.count(best) == 1:
-        lead = masks[orders.index(best)]
-        return (lead, *sorted(m for m in masks if m != lead))
-    return tuple(sorted(masks))
-
-
 @lru_cache(maxsize=1)
 def enumerate_hyperplanes() -> tuple[Hyperplane, ...]:
     """All 31 hyperplanes: perp-sets, then grids Q0..Q9, then ovoids O1..O6."""
@@ -219,7 +210,7 @@ def enumerate_hyperplanes() -> tuple[Hyperplane, ...]:
     ]
     ovoids = [
         Hyperplane(m, "ovoid", index=i)
-        for i, m in enumerate(_ordered_ovoid_masks(tuple(sorted(ovoid_masks))), start=1)
+        for i, m in enumerate(sorted(ovoid_masks), start=1)
     ]
     perps.sort(key=lambda h: h.mask)
     return tuple(perps) + tuple(grids) + tuple(ovoids)

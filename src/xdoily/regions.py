@@ -227,10 +227,7 @@ class SignRuleReport:
 
 
 def _first_type1_center() -> int:
-    for p in POINTS:
-        if group_of(p) == 2 and detect_type(p) == 1:
-            return p
-    raise RuntimeError("no family follows the first closed form")
+    return next(p for p in POINTS if group_of(p) == 2 and detect_type(p) == 1)
 
 
 # A fuzz run keeps drawing past its requested draws until this many draws

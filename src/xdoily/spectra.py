@@ -12,15 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import point_to_pauli
+from .gf2 import POINTS, point_to_pauli
 from .hyperplanes import group_of
 from .states import (
     Group1Params,
     Group2Params,
     HyperplaneState,
     build_density_matrix,
-    density_batch,
-    group2_batch,
     partial_transpose,
 )
 
@@ -178,48 +176,20 @@ def classify(state: HyperplaneState, tol: float = VALIDITY_TOL) -> SpectralRepor
     return classify_matrix(build_density_matrix(state), tol=tol)
 
 
-_TYPE_CACHE: dict[tuple, int] = {}
+def detect_type(center: int) -> int:
+    """Which closed eigenvalue form a Group-2 family follows, by the Y-parity rule.
 
-
-def detect_type(center: int, draws: int = 120, seed: int = 20, tol: float = 1e-8) -> int:
-    """Resolve which closed eigenvalue form a Group-2 family follows.
-
-    Both forms are evaluated against the numeric eigensolver over seeded
-    random coefficient draws on the family's perp-set; the one that matches
-    every draw wins.  Failure of both (or of neither to separate) signals a
-    parameter-embedding bug and raises.
+    The second form, with the spectra of rho and of its partial transpose
+    swapped, holds when exactly one factor of the center is Y (XY, ZY, YX,
+    YZ): then the center's Pauli matrix is imaginary, and Y is the only Pauli
+    that is odd under transpose.  The spectral verify suite checks the rule
+    against the numeric oracle.
     """
     if group_of(center) != 2:
         raise ValueError("detect_type needs a Group-2 center")
-    key = (center, draws, seed, tol)
-    cached = _TYPE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    rng = np.random.default_rng((seed, center))
-    x = rng.uniform(-1.0, 1.0, (draws, 7))  # per draw: tau1, tau2, beta0, then M row-major
-    tau1, tau2, beta0, m = x[:, 0], x[:, 1], x[:, 2], x[:, 3:].reshape(draws, 2, 2)
-    rho = density_batch(group2_batch(center, tau1, tau2, beta0, m))
-    eigs = eig_hermitian4(rho)
-    eigs_g = eig_hermitian4(partial_transpose(rho))
-    alive = {}
-    for t in (1, 2):
-        lam, gam = group2_eigenvalues_batch(Group2Params(tau1, tau2, beta0, m, t))
-        alive[t] = bool(np.all(np.abs(lam - eigs) <= tol) and np.all(np.abs(gam - eigs_g) <= tol))
-    label = point_to_pauli(center)
-    if alive[1] == alive[2]:
-        state_word = "neither" if not alive[1] else "both"
-        raise RuntimeError(f"type detection for {label} matched {state_word} forms")
-    t = 1 if alive[1] else 2
-    _TYPE_CACHE[key] = t
-    return t
+    return 2 if ((center >> 2) & 3 == 3) != (center & 3 == 3) else 1
 
 
-def detected_types(draws: int = 120, seed: int = 20) -> dict[str, int]:
+def detected_types() -> dict[str, int]:
     """Type tag for each of the nine Group-2 families, keyed by center label."""
-    from .gf2 import POINTS
-
-    return {
-        point_to_pauli(p): detect_type(p, draws=draws, seed=seed)
-        for p in POINTS
-        if group_of(p) == 2
-    }
+    return {point_to_pauli(p): detect_type(p) for p in POINTS if group_of(p) == 2}

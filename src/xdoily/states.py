@@ -434,7 +434,7 @@ def extract_group2_params(state: HyperplaneState, t: int | None = None) -> Group
     For grids the two center-aligned Bloch coordinates are off-support and
     therefore zero; any other tau coefficients a grid state may carry are
     outside this parameterisation.  When t is None the family type is
-    resolved empirically through spectra.detect_type.
+    resolved by the Y-parity rule of spectra.detect_type.
     """
     h = state.hyperplane
     if h.kind == "perp":

@@ -284,8 +284,12 @@ def spectral_suite(seed: int = 42, draws: int = 1000) -> list[CheckResult]:
 
     types = detected_types()
     max_err2 = 0.0
+    # The Y-parity rule is confirmed when, for every family, the swapped form
+    # misses the oracle on at least one draw.
+    unresolved = 0
     for center in _group2_centers():
         t = types[point_to_pauli(center)]
+        swapped_err = 0.0
         for n in _chunks(draws):
             x = rng.uniform(-1, 1, (n, 7))  # per draw: tau1, tau2, beta0, M row-major
             tau1, tau2, beta0, m = x[:, 0], x[:, 1], x[:, 2], x[:, 3:].reshape(n, 2, 2)
@@ -294,7 +298,9 @@ def spectral_suite(seed: int = 42, draws: int = 1000) -> list[CheckResult]:
             eigs_g = eig_hermitian4(partial_transpose(rho))
             lam, gam = group2_eigenvalues_batch(Group2Params(tau1, tau2, beta0, m, t))
             max_err2 = max(max_err2, _max_abs(lam - eigs), _max_abs(gam - eigs_g))
+            swapped_err = max(swapped_err, _max_abs(gam - eigs), _max_abs(lam - eigs_g))
             max_sum_err = max(max_sum_err, _max_abs(eigs.sum(axis=-1) - 1.0))
+        unresolved += swapped_err <= tol
     checks.append(
         CheckResult(
             "spectral",
@@ -307,7 +313,7 @@ def spectral_suite(seed: int = 42, draws: int = 1000) -> list[CheckResult]:
         CheckResult(
             "spectral",
             "each Group-2 family resolves to one closed form",
-            len(types) == 9 and all(t in (1, 2) for t in types.values()),
+            len(types) == 9 and unresolved == 0,
             " ".join(f"{lab}:{t}" for lab, t in sorted(types.items())),
         )
     )

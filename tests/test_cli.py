@@ -3,11 +3,14 @@
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from xdoily import cli
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(*argv):
@@ -38,6 +41,14 @@ def test_catalog_json():
     assert len(payload["fano_planes"]) == 15
     assert len(payload["hyperplanes"]) == 31
     assert all(len(r["members"]) == 7 for r in payload["fano_planes"])
+
+
+def test_catalog_json_matches_golden():
+    # Written by the CLI when ovoids were still ordered through a stabilizer
+    # tie-break; pins every hyperplane id to its points.
+    code, out, _ = run_cli("catalog", "--format", "json")
+    assert code == 0
+    assert out == (DATA / "catalog_golden.json").read_text(encoding="utf-8")
 
 
 def test_catalog_unknown_format_is_usage_error():
@@ -113,6 +124,14 @@ def test_analyze_off_hyperplane_coefficient(tmp_path):
     code, _, err = run_cli("analyze", path)
     assert code == 65
     assert "hyperplane" in err
+
+
+def test_analyze_duplicate_key_is_data_error(tmp_path):
+    path = tmp_path / "dup.json"
+    path.write_text('{"hyperplane": {"kind": "perp", "id": "ZZ"}, "coefficients": {"XX": 0.1, "XX": 0.9}}')
+    code, out, err = run_cli("analyze", str(path))
+    assert code == 65 and out == ""
+    assert err == "invalid state descriptor: duplicate key 'XX'\n"
 
 
 def test_analyze_bad_json(tmp_path):

@@ -2,6 +2,7 @@
 
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from xdoily import gf2
@@ -18,6 +19,12 @@ def test_point_round_trips():
         assert gf2.point_from_coords(gf2.coords(p)) == p
         assert gf2.parse_point(gf2.point_str(p)) == p
         assert gf2.pauli_to_point(gf2.point_to_pauli(p)) == p
+
+
+def test_points_accept_numpy_integers_not_bools():
+    assert gf2.point_to_pauli(np.int64(5)) == "XX"
+    with pytest.raises(ValueError):
+        gf2.point_to_pauli(True)
 
 
 def test_zero_vector_rejected():

@@ -122,6 +122,13 @@ def test_symplectic_group_order():
     assert len(hp.symplectic_transformations()) == 720
 
 
+def test_enumeration_does_not_build_the_symplectic_group():
+    for cached in (hp.enumerate_hyperplanes, hp._lookup, hp.symplectic_transformations):
+        cached.cache_clear()
+    hp.enumerate_hyperplanes()
+    assert hp.symplectic_transformations.cache_info().currsize == 0
+
+
 def test_ovoid_stabilizers_tie_at_120():
     # the documented tie that forces ascending-mask ovoid indexing
     orders = [hp.stabilizer_order(o.mask) for o in hp.ovoids()]

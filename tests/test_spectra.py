@@ -11,6 +11,7 @@ from xdoily.spectra import (
     eig_hermitian4,
     group1_eigenvalues,
     group2_eigenvalues,
+    group2_eigenvalues_batch,
 )
 from xdoily.states import Group1Params, Group2Params, group1_state, group2_state
 
@@ -129,9 +130,31 @@ def test_detect_type_resolves_all_families():
     assert types["ZZ"] == 1
 
 
-def test_detect_type_stable_across_seeds():
-    for center in GROUP2_CENTERS:
-        assert detect_type(center, seed=20) == detect_type(center, seed=321)
+def _fitted_type(center, seed, draws=40, tol=1e-8):
+    """The family type found by fitting both closed forms to eigvalsh over
+    seeded draws on the family's perp-set; exactly one form must match."""
+    rng = np.random.default_rng((seed, center))
+    x = rng.uniform(-1.0, 1.0, (draws, 7))  # per draw: tau1, tau2, beta0, then M row-major
+    tau1, tau2, beta0, m = x[:, 0], x[:, 1], x[:, 2], x[:, 3:].reshape(draws, 2, 2)
+    rho = xd.density_batch(xd.group2_batch(center, tau1, tau2, beta0, m))
+    eigs = np.linalg.eigvalsh(rho)
+    eigs_g = np.linalg.eigvalsh(xd.partial_transpose(rho))
+    matching = []
+    for t in (1, 2):
+        lam, gam = group2_eigenvalues_batch(Group2Params(tau1, tau2, beta0, m, t))
+        if np.all(np.abs(lam - eigs) <= tol) and np.all(np.abs(gam - eigs_g) <= tol):
+            matching.append(t)
+    assert len(matching) == 1, (xd.point_to_pauli(center), matching)
+    return matching[0]
+
+
+def test_y_parity_rule_matches_the_fit():
+    for seed in (20, 321, 7):
+        for center in GROUP2_CENTERS:
+            assert _fitted_type(center, seed) == detect_type(center)
+    assert " ".join(f"{lab}:{t}" for lab, t in sorted(detected_types().items())) == (
+        "XX:1 XY:2 XZ:1 YX:2 YY:1 YZ:2 ZX:1 ZY:2 ZZ:1"
+    )
 
 
 def test_detect_type_rejects_group1_center():

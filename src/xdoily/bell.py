@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .regions import classify_by_region_batch, grid_rows
+from .regions import classify_by_region_batch, grid_csv, grid_rows
 from .spectra import INVALID
 from .states import Group2Params
 
@@ -351,8 +351,4 @@ def heatmap_m(
 
 
 def heatmap_csv(rows) -> str:
-    lines = ["beta1,beta2,m"]
-    lines += [
-        f"{b1!r},{b2!r}," + ("" if m is None else repr(m)) for b1, b2, m in rows
-    ]
-    return "\n".join(lines) + "\n"
+    return grid_csv("beta1,beta2,m", rows, lambda m: "" if m is None else repr(m))

@@ -13,6 +13,8 @@ import math
 import re
 import sys
 
+import numpy as np
+
 from . import __version__
 from .bell import bell_m_oracle, constant_m_curve, heatmap_csv, heatmap_m
 from .hyperplanes import catalog_table, hyperplane_census, hyperplane_records
@@ -172,10 +174,13 @@ def _run_analyze(args) -> int:
     with open(args.state_file, "r", encoding="utf-8") as fh:
         descriptor = json.load(fh, object_pairs_hook=_unique_keys)
     state = state_from_descriptor(descriptor)
-    report = classify(state)
-    m_value = bell_m_oracle(state.coeffs.beta)
-    params = region_params_for_state(state)
-    region = classify_by_region(params) if params is not None else None
+    # Huge coefficients overflow to non-finite results, which _json_text
+    # reports as one line with EXIT_DATA; numpy's warnings would only add noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = classify(state)
+        m_value = bell_m_oracle(state.coeffs.beta)
+        params = region_params_for_state(state)
+        region = classify_by_region(params) if params is not None else None
     if region is not None and region != report.verdict:
         sys.stderr.write(
             f"internal inconsistency: disc route says {region}, "

@@ -19,7 +19,6 @@ spectral validity test, so both routes classify boundary states alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -33,6 +32,12 @@ MEMBERSHIP_TOL = 1e-10
 # States per kernel call in the sampling loops.  It bounds their working
 # memory, about 0.4 MiB at 256; larger chunks were no faster.
 DRAW_CHUNK = 256
+
+# Cells per kernel call in grid_rows, rounded down to whole grid rows (at
+# least one).  At res 200 one region plus one heatmap grid took 27 / 23 /
+# 22 / 27 ms with blocks of 1024 / 4096 / 8192 / 40000 cells; a block's
+# transient arrays are about 0.2 MiB at 4096 and grow with it.
+GRID_BLOCK = 4096
 
 
 @dataclass
@@ -153,9 +158,12 @@ def region_emptiness(beta0: float, beta3: float, beta4: float) -> tuple[bool, bo
 def grid_rows(beta0: float, beta3: float, beta4: float, t: int, resolution: int, row_values) -> list:
     """Rows (beta1, beta2, value) over the cell centers of a resolution^2 grid on [-2, 2]^2.
 
-    Rows run over beta1 (outer) then beta2 (inner).  row_values maps the
-    tau=0 parameters of one grid row, a batch over beta2, to that row's
-    values; only one row's arrays are alive at a time.
+    Rows run over beta1 (outer) then beta2 (inner).  The kernel sees blocks
+    of whole grid rows, about GRID_BLOCK cells each: row_values maps the
+    tau=0 parameters of one block, a flat batch over its cells in row
+    order, to one value per cell.  Only one block's arrays are alive at a
+    time.  Every row holds the same `resolution` center floats, so
+    grid_csv formats each of them once.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
@@ -163,15 +171,18 @@ def grid_rows(beta0: float, beta3: float, beta4: float, t: int, resolution: int,
         raise ValueError("type tag must be 1 or 2")
     step = 4.0 / resolution
     centers = [-2.0 + (i + 0.5) * step for i in range(resolution)]
-    m = np.empty((resolution, 2, 2))
-    m[:, 0, 1] = centers
+    block_rows = min(resolution, max(1, GRID_BLOCK // resolution))
+    m = np.empty((block_rows * resolution, 2, 2))
+    m[:, 0, 1] = np.tile(centers, block_rows)
     m[:, 1, 0] = beta3
     m[:, 1, 1] = beta4
-    params = Group2Params(0.0, 0.0, beta0, m, t)
     rows = []
-    for b1 in centers:
-        m[:, 0, 0] = b1
-        rows.extend(zip(repeat(b1), centers, row_values(params)))
+    for start in range(0, resolution, block_rows):
+        b1s = centers[start : start + block_rows]
+        block = m[: len(b1s) * resolution]
+        block[:, 0, 0] = np.repeat(b1s, resolution)
+        values = row_values(Group2Params(0.0, 0.0, beta0, block, t))
+        rows.extend(zip([b1 for b1 in b1s for _ in centers], centers * len(b1s), values))
     return rows
 
 
@@ -189,10 +200,34 @@ def sample_region(
     )
 
 
-def region_csv(rows) -> str:
-    lines = ["beta1,beta2,class"]
-    lines += [f"{b1!r},{b2!r},{cls}" for b1, b2, cls in rows]
+def grid_csv(header: str, rows, value_text) -> str:
+    """CSV text of grid rows (beta1, beta2, value): coordinates by repr, values by value_text.
+
+    A grid reuses a few coordinate floats for all of its cells, so each
+    coordinate object is formatted once.  The memo is keyed by id, not by
+    value: 0.0 and -0.0 are equal keys of a dict but print differently.
+    Each memoized float is held until the call returns, so its id cannot be
+    reused, even when rows is a generator.
+    """
+    memo = {}
+    held = []
+    text_of = memo.get
+    lines = [header]
+    for b1, b2, value in rows:
+        s1 = text_of(id(b1))
+        if s1 is None:
+            s1 = memo[id(b1)] = repr(b1)
+            held.append(b1)
+        s2 = text_of(id(b2))
+        if s2 is None:
+            s2 = memo[id(b2)] = repr(b2)
+            held.append(b2)
+        lines.append(f"{s1},{s2},{value_text(value)}")
     return "\n".join(lines) + "\n"
+
+
+def region_csv(rows) -> str:
+    return grid_csv("beta1,beta2,class", rows, format)
 
 
 def region_params_for_state(state, tol: float = 1e-12) -> Group2Params | None:

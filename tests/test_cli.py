@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -11,6 +14,7 @@ import pytest
 from xdoily import cli
 
 DATA = Path(__file__).parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(*argv):
@@ -258,6 +262,24 @@ def test_verify_small_draws_pass(argv):
     code, out, _ = run_cli("verify", *argv)
     assert code == 0
     assert out.strip().endswith("result: PASS")
+
+
+def test_analyze_overflow_prints_one_line_to_stderr(tmp_path):
+    # A fresh process, so numpy's warnings would reach stderr unfiltered.
+    path = _write_state(
+        tmp_path,
+        {"hyperplane": {"kind": "perp", "id": "ZZ"},
+         "coefficients": {"XX": 1e160, "YY": -1.0, "ZZ": 1.0}},
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "xdoily.cli", "analyze", path],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 65
+    assert proc.stdout == ""
+    assert proc.stderr == "input out of range: the result holds a non-finite number\n"
 
 
 def test_analyze_overflowing_result_is_data_error(tmp_path):

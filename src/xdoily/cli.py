@@ -62,18 +62,19 @@ def _point_pair(text: str) -> tuple[float, float]:
     return _finite_float(parts[0]), _finite_float(parts[1])
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
-    return value
+def _int_at_least(low: int, name: str = ""):
+    """Argument type: an integer of at least low; name prefixes the message."""
 
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{name}must be at least {low}")
+        return value
 
-def _resolution(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError("resolution must be at least 2")
-    return value
+    return parse
 
 
 def build_parser() -> _Parser:
@@ -94,14 +95,14 @@ def build_parser() -> _Parser:
     p.add_argument("--c", type=_point_pair, required=True, metavar="B4,B3",
                    help="the point C = (beta4, beta3)")
     p.add_argument("--type", type=int, choices=(1, 2), default=1, dest="t")
-    p.add_argument("--resolution", type=_resolution, default=100)
+    p.add_argument("--resolution", type=_int_at_least(2, "resolution "), default=100)
     p.add_argument("--out")
 
     p = sub.add_parser("heatmap", help="Bell-measure grid over the validity region as CSV")
     p.add_argument("--beta0", type=_finite_float, required=True)
     p.add_argument("--c", type=_point_pair, required=True, metavar="B4,B3")
     p.add_argument("--type", type=int, choices=(1, 2), default=1, dest="t")
-    p.add_argument("--resolution", type=_resolution, default=100)
+    p.add_argument("--resolution", type=_int_at_least(2, "resolution "), default=100)
     p.add_argument("--out")
 
     p = sub.add_parser("curve", help="constant-measure circle/ellipse data as JSON")
@@ -112,14 +113,14 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run the property suites")
     p.add_argument("suite", nargs="?", choices=SUITES + ("all",), default="all")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--draws", type=_positive_int, default=10000)
+    p.add_argument("--seed", type=_int_at_least(0), default=42)
+    p.add_argument("--draws", type=_int_at_least(1), default=10000)
     p.add_argument("--out")
     return parser
 
 
 class NonFiniteResult(ValueError):
-    """A result to be printed as JSON holds NaN or an infinity."""
+    """The input overflowed: a result holds NaN or an infinity, or its spectrum diverged."""
 
 
 def _json_text(payload) -> str:
@@ -172,13 +173,20 @@ def _unique_keys(pairs) -> dict:
 
 def _run_analyze(args) -> int:
     with open(args.state_file, "r", encoding="utf-8") as fh:
-        descriptor = json.load(fh, object_pairs_hook=_unique_keys)
+        text = fh.read()
+    try:
+        descriptor = json.loads(text, object_pairs_hook=_unique_keys)
+    except RecursionError:
+        raise json.JSONDecodeError("nested too deeply", text, 0) from None
     state = state_from_descriptor(descriptor)
     # Huge coefficients overflow to non-finite results, which _json_text
     # reports as one line with EXIT_DATA; numpy's warnings would only add noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        report = classify(state)
-        m_value = bell_m_oracle(state.coeffs.beta)
+        try:
+            report = classify(state)
+            m_value = bell_m_oracle(state.coeffs.beta)
+        except np.linalg.LinAlgError as exc:  # LAPACK on a matrix holding inf
+            raise NonFiniteResult(f"no spectrum: {exc}") from None
         params = region_params_for_state(state)
         region = classify_by_region(params) if params is not None else None
     if region is not None and region != report.verdict:
@@ -257,6 +265,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         sys.stderr.write(f"i/o failure: {exc}\n")
         return EXIT_IO
+    except Exception as exc:  # a defect, not bad input: one line, never a traceback
+        sys.stderr.write(f"internal error: {exc!r}\n")
+        return EXIT_INCONSISTENT
 
 
 if __name__ == "__main__":

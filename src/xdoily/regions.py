@@ -12,8 +12,9 @@ D = (beta1, beta2) and membership of F = (beta4, -beta3).  (Centering the
 dual discs at E instead breaks the equivalence with the spectral route; the
 D-centered form is the one that agrees with PPT on every draw.)
 
-Boundary membership uses closed discs with the same 1e-10 tolerance as the
-spectral validity test, so both routes classify boundary states alike.
+Boundary membership uses closed discs with MEMBERSHIP_TOL, the spectral
+validity tolerance carried over to distances, so both routes classify
+boundary states alike.
 """
 
 from __future__ import annotations
@@ -24,10 +25,12 @@ import numpy as np
 
 from .gf2 import POINTS, point_to_pauli
 from .hyperplanes import group_of
-from .spectra import CLASSES, ENTANGLED, INVALID, SEPARABLE, classify_batch, detect_type
+from .spectra import CLASSES, ENTANGLED, INVALID, SEPARABLE, VALIDITY_TOL, classify_batch, detect_type
 from .states import Group2Params, density_batch, extract_group2_params, group2_batch
 
-MEMBERSHIP_TOL = 1e-10
+# An eigenvalue (1 +- beta0 +- distance) / 4 moves by a quarter of the
+# distance, so VALIDITY_TOL on eigenvalues is this tolerance on distances.
+MEMBERSHIP_TOL = 4 * VALIDITY_TOL
 
 # States per kernel call in the sampling loops.  It bounds their working
 # memory, about 0.4 MiB at 256; larger chunks were no faster.
@@ -106,8 +109,8 @@ def l_minus(params: Group2Params) -> float:
     return float(region_geometry(params).l_minus)
 
 
-def _require_tau_zero(params: Group2Params, tol: float) -> None:
-    if (np.abs(params.tau1) > tol).any() or (np.abs(params.tau2) > tol).any():
+def _require_tau_zero(params: Group2Params) -> None:
+    if (np.abs(params.tau1) > VALIDITY_TOL).any() or (np.abs(params.tau2) > VALIDITY_TOL).any():
         raise ValueError("region classification requires tau1 = tau2 = 0")
 
 
@@ -126,14 +129,14 @@ def classify_by_region_batch(params: Group2Params, tol: float = MEMBERSHIP_TOL) 
 
     The point E = (b1, -b2) against discs centered at C = (b4, b3).
     """
-    _require_tau_zero(params, tol)
+    _require_tau_zero(params)
     b1, b2, b3, b4, r, big_r, sign = _disc_data(params)
     return _disc_verdicts(b1, -b2, b4, b3, r, big_r, sign, tol)
 
 
 def dual_classify_by_region_batch(params: Group2Params, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
     """Mirror-route verdicts, batched: the point F = (b4, -b3) against discs centered at D = (b1, b2)."""
-    _require_tau_zero(params, tol)
+    _require_tau_zero(params)
     b1, b2, b3, b4, r, big_r, sign = _disc_data(params)
     return _disc_verdicts(b4, -b3, b1, b2, r, big_r, sign, tol)
 

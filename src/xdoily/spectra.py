@@ -34,13 +34,17 @@ INVALID, SEPARABLE, ENTANGLED = range(3)
 def eig_hermitian4(h, hermitian_tol: float = 1e-12) -> np.ndarray:
     """Ascending eigenvalues of a 4x4 Hermitian matrix, or (..., 4) of a stack (..., 4, 4).
 
-    Rejects inputs that are not Hermitian to within hermitian_tol.
+    Rejects inputs that are not Hermitian to within hermitian_tol times
+    max(1, max|h|), taken per matrix: rounding grows with the entries.
     """
     h = np.asarray(h, dtype=complex)
     if h.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {h.shape}")
-    if h.size and np.max(np.abs(h - np.swapaxes(h, -1, -2).conj())) > hermitian_tol:
-        raise ValueError("matrix is not Hermitian to tolerance")
+    asym = np.abs(h - np.swapaxes(h, -1, -2).conj())
+    if h.size and asym.max() > hermitian_tol:  # only then is the scale needed
+        scale = np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))
+        if np.any(asym.max(axis=(-2, -1)) > hermitian_tol * scale):
+            raise ValueError("matrix is not Hermitian to tolerance")
     return np.linalg.eigvalsh(h)
 
 

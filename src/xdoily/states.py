@@ -27,9 +27,6 @@ from .hyperplanes import (
     quadric_q0,
 )
 
-AXES = "xyz"
-_AXIS = {"x": 0, "y": 1, "z": 2}
-
 _P1 = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -50,17 +47,6 @@ PAULI_TENSOR = np.stack([_PAULI4[label] for label in ALL_LABELS])
 PAULI_TENSOR.setflags(write=False)
 
 
-def _flat_index(label: str) -> int:
-    """Position of a label in StateCoeffs' flat layout (tau_a, tau_b, beta row-major)."""
-    a, b = label
-    if b == "I":
-        return "XYZ".index(a)
-    if a == "I":
-        return 3 + "XYZ".index(b)
-    return 6 + 3 * "XYZ".index(a) + "XYZ".index(b)
-
-
-_FLAT_OF_SLOT = np.array([_flat_index(label) for label in ALL_LABELS])
 _BETA_SLOTS = np.array([[_SLOT[a + b] for b in "XYZ"] for a in "XYZ"])
 
 
@@ -92,8 +78,6 @@ for _p in POINTS:
     else:
         _GROUP2_SLOTS[_p] = _group2_slots(_label)
 
-_AXIS_FOR_PAULI = {"X": "x", "Y": "y", "Z": "z"}
-
 
 class StateDescriptorError(ValueError):
     """Malformed state descriptor or coefficient off the hyperplane."""
@@ -113,21 +97,34 @@ def _validate_label(label) -> str:
     return label
 
 
+def _slot_property(slots: np.ndarray) -> property:
+    """A read-only property: the coefficients at these slots, as a read-only array."""
+    def read(self) -> np.ndarray:
+        out = self.values[slots]
+        out.setflags(write=False)
+        return out
+    return property(read)
+
+
 @dataclass
 class StateCoeffs:
-    """Dense coefficient storage for the 15 nontrivial Pauli slots.
+    """The 15 coefficients of a state: one float vector in ALL_LABELS order.
 
-    tau_a holds the XI, YI, ZI coefficients, tau_b the IX, IY, IZ ones, and
-    beta[i, j] multiplies sigma_i (x) sigma_j with i, j running over x, y, z.
+    tau_a (XI, YI, ZI), tau_b (IX, IY, IZ) and beta, where beta[i, j]
+    multiplies sigma_i (x) sigma_j with i, j running over x, y, z, are
+    read-only arrays gathered from it; write coefficients through set.
     """
 
-    tau_a: np.ndarray
-    tau_b: np.ndarray
-    beta: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.values = np.array(self.values, dtype=float)
+        if self.values.shape != (15,):
+            raise ValueError(f"expected 15 coefficients, got shape {self.values.shape}")
 
     @classmethod
     def zeros(cls) -> "StateCoeffs":
-        return cls(np.zeros(3), np.zeros(3), np.zeros((3, 3)))
+        return cls(np.zeros(15))
 
     @classmethod
     def from_labels(cls, mapping) -> "StateCoeffs":
@@ -137,43 +134,29 @@ class StateCoeffs:
         return c
 
     def get(self, label: str) -> float:
-        a, b = _validate_label(label)
-        if a == "I":
-            return float(self.tau_b[_AXIS[_AXIS_FOR_PAULI[b]]])
-        if b == "I":
-            return float(self.tau_a[_AXIS[_AXIS_FOR_PAULI[a]]])
-        return float(self.beta[_AXIS[_AXIS_FOR_PAULI[a]], _AXIS[_AXIS_FOR_PAULI[b]]])
+        return float(self.values[_SLOT[_validate_label(label)]])
 
     def set(self, label: str, value) -> None:
-        a, b = _validate_label(label)
+        slot = _SLOT[_validate_label(label)]
         value = float(value)
         if not np.isfinite(value):
             raise StateDescriptorError(f"coefficient for {label} is not finite")
-        if a == "I":
-            self.tau_b[_AXIS[_AXIS_FOR_PAULI[b]]] = value
-        elif b == "I":
-            self.tau_a[_AXIS[_AXIS_FOR_PAULI[a]]] = value
-        else:
-            self.beta[_AXIS[_AXIS_FOR_PAULI[a]], _AXIS[_AXIS_FOR_PAULI[b]]] = value
-
-    def label_map(self) -> dict[str, float]:
-        return {label: self.get(label) for label in ALL_LABELS}
+        self.values[slot] = value
 
     def support(self) -> tuple[str, ...]:
-        return tuple(label for label in ALL_LABELS if self.get(label) != 0.0)
+        return tuple(ALL_LABELS[k] for k in np.flatnonzero(self.values))
 
-    def copy(self) -> "StateCoeffs":
-        return StateCoeffs(self.tau_a.copy(), self.tau_b.copy(), self.beta.copy())
+    tau_a = _slot_property(np.array([_SLOT[a + "I"] for a in "XYZ"]))
+    tau_b = _slot_property(np.array([_SLOT["I" + b] for b in "XYZ"]))
+    beta = _slot_property(_BETA_SLOTS)
 
     def vector(self) -> np.ndarray:
-        """The 15 coefficients as a vector in ALL_LABELS order."""
-        return np.concatenate((self.tau_a, self.tau_b, self.beta.ravel()))[_FLAT_OF_SLOT]
+        """The 15 coefficients as a vector in ALL_LABELS order (a copy)."""
+        return self.values.copy()
 
     @classmethod
     def from_vector(cls, vector) -> "StateCoeffs":
-        flat = np.empty(15)
-        flat[_FLAT_OF_SLOT] = vector
-        return cls(flat[:3].copy(), flat[3:6].copy(), flat[6:].reshape(3, 3).copy())
+        return cls(vector)
 
 
 @dataclass
@@ -266,7 +249,7 @@ def beta_batch(vectors) -> np.ndarray:
 
 
 def density_from_coeffs(coeffs: StateCoeffs) -> np.ndarray:
-    return density_batch(coeffs.vector())
+    return density_batch(coeffs.values)
 
 
 def build_density_matrix(state: HyperplaneState) -> np.ndarray:
@@ -275,14 +258,11 @@ def build_density_matrix(state: HyperplaneState) -> np.ndarray:
 
 
 def decompose_density_matrix(rho) -> StateCoeffs:
-    """Recover Pauli coefficients through c_k = Re tr(rho P_k)."""
+    """Recover Pauli coefficients through c_k = Re tr(rho P_k), the inverse of density_batch."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError("expected a 4x4 matrix")
-    c = StateCoeffs.zeros()
-    for label in ALL_LABELS:
-        c.set(label, float(np.trace(rho @ _PAULI4[label]).real))
-    return c
+    return StateCoeffs(np.einsum("ij,kji->k", rho, PAULI_TENSOR).real)
 
 
 def partial_transpose(rho) -> np.ndarray:
@@ -424,7 +404,7 @@ def extract_group1_params(state: HyperplaneState) -> Group1Params:
     h = state.hyperplane
     if h.kind != "perp" or group_of(h.center) != 1:
         raise ValueError("extract_group1_params needs a Group-1 perp-set state")
-    p = group1_params_batch(h.center, state.coeffs.vector())
+    p = group1_params_batch(h.center, state.coeffs.values)
     return Group1Params(float(p.tau0), p.tau, p.beta)
 
 
@@ -449,7 +429,7 @@ def extract_group2_params(state: HyperplaneState, t: int | None = None) -> Group
         from .spectra import detect_type
 
         t = detect_type(center)
-    p = group2_params_batch(center, state.coeffs.vector(), int(t))
+    p = group2_params_batch(center, state.coeffs.values, int(t))
     return Group2Params(float(p.tau1), float(p.tau2), float(p.beta0), p.m, p.t)
 
 
@@ -461,7 +441,7 @@ def group2_state(center: int, tau1, tau2, beta0, m) -> HyperplaneState:
     if m.shape != (2, 2):
         raise ValueError("m must be a 2x2 block")
     vector = group2_batch(center, float(tau1), float(tau2), float(beta0), m)
-    return HyperplaneState(perp_set(center), StateCoeffs.from_vector(vector))
+    return HyperplaneState(perp_set(center), StateCoeffs(vector))
 
 
 def group1_state(center: int, tau0, tau, beta) -> HyperplaneState:
@@ -473,7 +453,7 @@ def group1_state(center: int, tau0, tau, beta) -> HyperplaneState:
     if tau.shape != (3,) or beta.shape != (3,):
         raise ValueError("tau and beta must be 3-vectors")
     vector = group1_batch(center, float(tau0), tau, beta)
-    return HyperplaneState(perp_set(center), StateCoeffs.from_vector(vector))
+    return HyperplaneState(perp_set(center), StateCoeffs(vector))
 
 
 _Q5_LABELS = ("XI", "ZI", "IX", "IZ", "XX", "YY", "ZZ", "ZX", "XZ")

@@ -146,6 +146,50 @@ def test_analyze_bad_json(tmp_path):
     assert "JSON" in err
 
 
+def test_analyze_within_tolerance_of_a_disc_boundary(tmp_path):
+    # |E + C| exceeds r by 2e-10: inside the spectral tolerance (1e-10 on
+    # eigenvalues, 4e-10 on distances), so the disc route must agree.
+    path = _write_state(
+        tmp_path,
+        {"hyperplane": {"kind": "perp", "id": "XX"},
+         "coefficients": {"XX": 0.3, "ZZ": 0.2, "ZY": 0.1, "YZ": 0.1, "YY": -0.9000000001999999}},
+    )
+    code, out, err = run_cli("analyze", path)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["entangled"] is True
+    assert payload["region_classification"] == "entangled"
+
+
+def test_analyze_divergent_spectrum_is_data_error(tmp_path):
+    # XX + YY overflows one entry of rho to inf, and LAPACK does not converge.
+    path = _write_state(
+        tmp_path,
+        {"hyperplane": {"kind": "perp", "id": "ZZ"}, "coefficients": {"XX": 1e308, "YY": 1e308}},
+    )
+    code, out, err = run_cli("analyze", path)
+    assert code == 65 and out == ""
+    assert err.startswith("input out of range: ") and err.count("\n") == 1
+
+
+def test_analyze_deeply_nested_json_is_data_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, out, err = run_cli("analyze", str(path))
+    assert code == 65 and out == ""
+    assert err.startswith("unparsable JSON: ") and err.count("\n") == 1
+
+
+def test_unexpected_error_is_internal_error(monkeypatch):
+    def fail(args):
+        raise RuntimeError("line one\nline two")
+
+    monkeypatch.setattr(cli, "_run_catalog", fail)
+    code, out, err = run_cli("catalog")
+    assert code == 3 and out == ""
+    assert err == "internal error: RuntimeError('line one\\nline two')\n"
+
+
 def test_analyze_missing_file():
     code, _, err = run_cli("analyze", "/nonexistent/state.json")
     assert code == 2
@@ -205,6 +249,22 @@ def test_verify_small_all():
 def test_verify_zero_draws_is_usage_error():
     code, _, _ = run_cli("verify", "region", "--draws", "0")
     assert code == 64
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("verify", "--seed", "-1"), "argument --seed: must be at least 0"),
+        (("verify", "--draws", "0"), "argument --draws: must be at least 1"),
+        (("verify", "--draws", "ten"), "argument --draws: expected an integer, got 'ten'"),
+        (("region", "--beta0", "0", "--c", "0,0", "--resolution", "1"),
+         "argument --resolution: resolution must be at least 2"),
+    ],
+)
+def test_integer_options_are_usage_errors(argv, message):
+    code, out, err = run_cli(*argv)
+    assert code == 64 and out == ""
+    assert err.endswith(f"error: {message}\n")
 
 
 def test_verify_unknown_suite_is_usage_error():

@@ -39,6 +39,24 @@ def test_eig_hermitian4_rejects_non_hermitian():
         eig_hermitian4(np.eye(3))
 
 
+def test_eig_hermitian4_bound_scales_with_the_entries():
+    # Assembled in doubles, U diag(w) U^H is Hermitian only up to rounding of
+    # the size of w; an absolute bound of 1e-12 rejected this one.
+    rng = np.random.default_rng(0)
+    u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    w = 1e5 * np.array([0.1, 0.2, 0.3, 0.4])
+    h = u @ np.diag(w) @ u.conj().T
+    assert np.max(np.abs(h - h.conj().T)) > 1e-12
+    np.testing.assert_allclose(eig_hermitian4(h), w, rtol=1e-12)
+    np.testing.assert_allclose(eig_hermitian4(np.stack([np.eye(4), h]))[1], w, rtol=1e-12)
+    bad = h.copy()
+    bad[0, 1] += 1e-6  # 1e-11 of the scale: still far from Hermitian
+    with pytest.raises(ValueError):
+        eig_hermitian4(bad)
+    with pytest.raises(ValueError):  # the scale is per matrix, not the stack's
+        eig_hermitian4(np.stack([h, np.eye(4) + np.triu(np.ones((4, 4)), 1) * 1e-9]))
+
+
 def test_eig_sum_equals_trace():
     rng = np.random.default_rng(11)
     for _ in range(50):

@@ -1,5 +1,7 @@
 """Density-matrix assembly, coefficient round trips, parameter extraction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,33 @@ def test_coefficient_round_trip():
     recovered = xd.decompose_density_matrix(rho)
     for lab in ALL_LABELS:
         assert abs(recovered.get(lab) - coeffs.get(lab)) < 1e-12
+
+
+def test_coefficients_are_one_vector_in_label_order():
+    values = RNG.uniform(-2, 2, 15)
+    coeffs = StateCoeffs(values)
+    assert [f.name for f in dataclasses.fields(StateCoeffs)] == ["values"]
+    assert coeffs.values.shape == (15,) and coeffs.values is not values
+    for k, lab in enumerate(ALL_LABELS):
+        assert coeffs.get(lab) == values[k]
+    np.testing.assert_array_equal(coeffs.tau_a, [coeffs.get(a + "I") for a in "XYZ"])
+    np.testing.assert_array_equal(coeffs.tau_b, [coeffs.get("I" + b) for b in "XYZ"])
+    np.testing.assert_array_equal(coeffs.beta, [[coeffs.get(a + b) for b in "XYZ"] for a in "XYZ"])
+    np.testing.assert_array_equal(StateCoeffs.from_vector(coeffs.vector()).values, values)
+    coeffs.set("YZ", 0.0)
+    assert "YZ" not in coeffs.support() and len(coeffs.support()) == 14
+    with pytest.raises(ValueError):
+        StateCoeffs(np.zeros(9))
+
+
+def test_gathered_coefficients_are_read_only():
+    coeffs = StateCoeffs.from_labels({"XX": 0.5, "XI": 0.1, "IZ": 0.2})
+    for name in ("tau_a", "tau_b", "beta"):
+        with pytest.raises(AttributeError):
+            setattr(coeffs, name, np.zeros_like(getattr(coeffs, name)))
+        with pytest.raises(ValueError):
+            getattr(coeffs, name)[0] = 1.0
+    assert coeffs.get("XX") == 0.5 and coeffs.get("XI") == 0.1 and coeffs.get("IZ") == 0.2
 
 
 def test_partial_transpose_index_map():

@@ -77,6 +77,7 @@ from .spectra import (
     group1_eigenvalues_batch,
     group2_eigenvalues,
     group2_eigenvalues_batch,
+    ppt_verdicts,
 )
 from .states import (
     Group1Params,

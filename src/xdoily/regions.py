@@ -25,7 +25,7 @@ import numpy as np
 
 from .gf2 import POINTS, point_to_pauli
 from .hyperplanes import group_of
-from .spectra import CLASSES, ENTANGLED, INVALID, SEPARABLE, VALIDITY_TOL, classify_batch, detect_type
+from .spectra import CLASSES, ENTANGLED, INVALID, SEPARABLE, VALIDITY_TOL, detect_type, ppt_verdicts
 from .states import Group2Params, density_batch, extract_group2_params, group2_batch
 
 # An eigenvalue (1 +- beta0 +- distance) / 4 moves by a quarter of the
@@ -233,11 +233,12 @@ def region_csv(rows) -> str:
     return grid_csv("beta1,beta2,class", rows, format)
 
 
-def region_params_for_state(state, tol: float = 1e-12) -> Group2Params | None:
+def region_params_for_state(state, tol: float = VALIDITY_TOL) -> Group2Params | None:
     """Group-2 parameters of a state when the disc route applies, else None.
 
     The route needs a Group-2 perp-set or a grid other than Q0, with every
-    Bloch (tau) coefficient zero.
+    Bloch (tau) coefficient zero to within tol, the bound the disc routes
+    themselves accept.
     """
     h = state.hyperplane
     if h.kind == "ovoid":
@@ -299,7 +300,7 @@ def sign_rule_fuzz(draws: int, seed: int = 42, center: int | None = None) -> Sig
         attempts += n
         x = rng.uniform(-1.0, 1.0, (n, 5))  # per draw: beta0, then M row-major
         beta0, m = x[:, 0], x[:, 1:].reshape(n, 2, 2)
-        verdicts = classify_batch(density_batch(group2_batch(center, 0.0, 0.0, beta0, m)))[2]
+        verdicts = ppt_verdicts(density_batch(group2_batch(center, 0.0, 0.0, beta0, m)))
         keep = (verdicts == ENTANGLED) & (np.abs(beta0) > 1e-12)
         tested += int(np.count_nonzero(keep))
         params = Group2Params(0.0, 0.0, beta0[keep], m[keep], 1)

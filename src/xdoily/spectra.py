@@ -149,6 +149,21 @@ class SpectralReport:
         }
 
 
+def _ppt_valid(lam_rho, tol: float) -> np.ndarray:
+    """Validity from the least eigenvalue of rho: lam_rho >= -tol."""
+    return lam_rho >= -tol
+
+
+def _ppt_rule(lam_rho, lam_gamma, tol: float) -> np.ndarray:
+    """Verdicts from the least eigenvalues of rho and of its partial transpose.
+
+    A valid state is entangled when lam_gamma < -tol.  lam_gamma is not
+    read where rho is invalid.
+    """
+    entangled = lam_gamma < -tol
+    return np.where(_ppt_valid(lam_rho, tol), np.where(entangled, ENTANGLED, SEPARABLE), INVALID)
+
+
 def classify_batch(rho, tol: float = VALIDITY_TOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """PPT classification of a stack (..., 4, 4) of Hermitian matrices.
 
@@ -157,10 +172,22 @@ def classify_batch(rho, tol: float = VALIDITY_TOL) -> tuple[np.ndarray, np.ndarr
     """
     eigs_rho = eig_hermitian4(rho)
     eigs_gamma = eig_hermitian4(partial_transpose(rho))
-    valid = eigs_rho[..., 0] >= -tol
-    entangled = eigs_gamma[..., 0] < -tol
-    verdicts = np.where(valid, np.where(entangled, ENTANGLED, SEPARABLE), INVALID)
-    return eigs_rho, eigs_gamma, verdicts
+    return eigs_rho, eigs_gamma, _ppt_rule(eigs_rho[..., 0], eigs_gamma[..., 0], tol)
+
+
+def ppt_verdicts(rho, tol: float = VALIDITY_TOL) -> np.ndarray:
+    """The verdicts of classify_batch(rho, tol), solving only what they need.
+
+    Every rho is eigensolved, but only the partial transposes of the valid
+    ones: the verdict of an invalid state does not depend on its partial
+    transpose.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    lam_rho = eig_hermitian4(rho)[..., 0]
+    valid = _ppt_valid(lam_rho, tol)
+    lam_gamma = np.zeros_like(lam_rho)
+    lam_gamma[valid] = eig_hermitian4(partial_transpose(rho[valid]))[..., 0]
+    return _ppt_rule(lam_rho, lam_gamma, tol)
 
 
 def classify_matrix(rho, tol: float = VALIDITY_TOL) -> SpectralReport:

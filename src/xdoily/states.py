@@ -143,6 +143,12 @@ class StateCoeffs:
             raise StateDescriptorError(f"coefficient for {label} is not finite")
         self.values[slot] = value
 
+    def __eq__(self, other) -> bool:
+        # Value equality; the generated __eq__ would compare arrays as truth values.
+        if not isinstance(other, StateCoeffs):
+            return NotImplemented
+        return bool(np.array_equal(self.values, other.values))
+
     def support(self) -> tuple[str, ...]:
         return tuple(ALL_LABELS[k] for k in np.flatnonzero(self.values))
 
@@ -163,6 +169,11 @@ class StateCoeffs:
 class HyperplaneState:
     hyperplane: Hyperplane
     coeffs: StateCoeffs
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, HyperplaneState):
+            return NotImplemented
+        return self.hyperplane == other.hyperplane and self.coeffs == other.coeffs
 
     def __post_init__(self) -> None:
         allowed = set(self.hyperplane.labels())
@@ -229,18 +240,45 @@ def state_descriptor(state: HyperplaneState) -> dict:
     }
 
 
+def _term_table() -> np.ndarray:
+    """Gather indices (3, 32) of density_batch into [c, -c, 0] (31 slots).
+
+    Column f is float f of a 4x4 complex matrix laid out as (real, imag)
+    pairs; it lists the signed Pauli terms of that float in ALL_LABELS
+    order, padded with the zero slot.
+    """
+    parts = PAULI_TENSOR.reshape(15, 16).view(float)  # (15, 32)
+    table = np.full((3, 32), 30)
+    for f in range(32):
+        terms = [k if parts[k, f] > 0 else 15 + k for k in np.flatnonzero(parts[:, f])]
+        table[: len(terms), f] = terms
+    return table
+
+
+_TERMS = _term_table()
+_TERMS.setflags(write=False)
+_IDENTITY = np.eye(4, dtype=complex).reshape(16).view(float)
+_IDENTITY.setflags(write=False)
+
+
 def density_batch(vectors) -> np.ndarray:
     """Density matrices (..., 4, 4) of coefficient vectors (..., 15).
 
-    Terms are added in ALL_LABELS order, skipping slots that are zero in
-    every vector of the batch.
+    Each real and imaginary part is the identity plus its signed Pauli
+    terms in ALL_LABELS order, then divided by 4: the same sums in the same
+    order as adding c_k P_k term by term, so the result is bit-identical to
+    that loop, signs of zeros included.
     """
     c = np.asarray(vectors, dtype=float)
-    rho = np.zeros(c.shape[:-1] + (4, 4), dtype=complex)
-    rho[..., range(4), range(4)] = 1.0
-    for k in np.flatnonzero(c.reshape(-1, 15).any(axis=0)):
-        rho += c[..., k, None, None] * PAULI_TENSOR[k]
-    return rho / 4.0
+    lead = c.shape[:-1]
+    terms = np.concatenate([c, -c, np.zeros(lead + (1,))], axis=-1)[..., _TERMS]
+    rho = np.empty(lead + (16,), dtype=complex)
+    acc = rho.view(float)
+    np.add(_IDENTITY, terms[..., 0, :], out=acc)
+    acc += terms[..., 1, :]
+    acc += terms[..., 2, :]
+    # A complex division, as in the loop: an infinite part turns the other part of its entry into NaN.
+    return rho.reshape(lead + (4, 4)) / 4.0
 
 
 def beta_batch(vectors) -> np.ndarray:

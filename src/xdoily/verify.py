@@ -58,12 +58,12 @@ from .spectra import (
     CLASSES,
     ENTANGLED,
     INVALID,
-    classify_batch,
     detect_type,
     detected_types,
     eig_hermitian4,
     group1_eigenvalues_batch,
     group2_eigenvalues_batch,
+    ppt_verdicts,
 )
 from .states import (
     Group2Params,
@@ -330,7 +330,7 @@ def spectral_suite(seed: int = 42, draws: int = 1000) -> list[CheckResult]:
     ovoid_draws = max(1, draws // 2)
     for ovoid in ovoids():
         for n in _chunks(ovoid_draws):
-            verdicts = classify_batch(density_batch(_random_vectors(ovoid, rng, n)))[2]
+            verdicts = ppt_verdicts(density_batch(_random_vectors(ovoid, rng, n)))
             ovoid_sep_violations += _count(verdicts == ENTANGLED)
     checks.append(
         CheckResult(
@@ -357,7 +357,7 @@ def region_suite(seed: int = 42, draws: int = 10000) -> list[CheckResult]:
         x = rng.uniform(-1, 1, (n, 5))  # per draw: beta0, then M row-major
         beta0, m = x[:, 0], x[:, 1:].reshape(n, 2, 2)
         params = Group2Params(0.0, 0.0, beta0, m, types[family])
-        spectral = classify_batch(density_batch(group2_batch(centers[family], 0.0, 0.0, beta0, m)))[2]
+        spectral = ppt_verdicts(density_batch(group2_batch(centers[family], 0.0, 0.0, beta0, m)))
         region = classify_by_region_batch(params)
         dual = dual_classify_by_region_batch(params)
         for k in np.flatnonzero(region != spectral)[: 5 - len(mismatches)]:
@@ -478,7 +478,7 @@ def nonlocality_suite(seed: int = 42, draws: int = 10000) -> list[CheckResult]:
         bell_hits += _count(hot)
         if hot.any():
             rho = density_batch(group2_batch(centers[family[hot]], 0.0, 0.0, beta0[hot], m[hot]))
-            bell_viol += _count(classify_batch(rho)[2] != ENTANGLED)
+            bell_viol += _count(ppt_verdicts(rho) != ENTANGLED)
     checks.append(
         CheckResult(
             "nonlocality",
@@ -534,7 +534,7 @@ def nonlocality_suite(seed: int = 42, draws: int = 10000) -> list[CheckResult]:
         general_attempts += n
         x = rng.uniform(-1, 1, (n, 7))  # per draw: tau1, tau2, beta0, M row-major
         tau1, tau2, beta0, m = x[:, 0], x[:, 1], x[:, 2], x[:, 3:].reshape(n, 2, 2)
-        verdicts = classify_batch(density_batch(group2_batch(centers[family], tau1, tau2, beta0, m)))[2]
+        verdicts = ppt_verdicts(density_batch(group2_batch(centers[family], tau1, tau2, beta0, m)))
         keep = np.flatnonzero(verdicts != INVALID)[: general_target - general_seen]
         general_seen += len(keep)
         params = Group2Params(tau1[keep], tau2[keep], beta0[keep], m[keep], types[family[keep]])
@@ -584,7 +584,7 @@ def nonlocality_suite(seed: int = 42, draws: int = 10000) -> list[CheckResult]:
     for h in [perp_set(c) for c in _group1_centers()] + list(ovoids()):
         for n in _chunks(lr_draws):
             vectors = _random_vectors(h, rng, n)
-            valid = classify_batch(density_batch(vectors))[2] != INVALID
+            valid = ppt_verdicts(density_batch(vectors)) != INVALID
             lr_viol += _count(valid & (bell_m_oracle_batch(beta_batch(vectors)) > 1.0 + 1e-10))
     checks.append(
         CheckResult(

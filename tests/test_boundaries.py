@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import xdoily as xd
 from xdoily.regions import classify_by_region_batch, dual_classify_by_region_batch
-from xdoily.spectra import classify_batch, detect_type
+from xdoily.spectra import classify_batch, detect_type, ppt_verdicts
 from xdoily.states import Group2Params, density_batch, group2_batch
 
 GROUP2_CENTERS = [p for p in xd.POINTS if xd.group_of(p) == 2]
@@ -69,7 +69,10 @@ def test_disc_dual_and_ppt_agree_at_boundaries(center, boundary, beta0, c_radius
     m = np.stack([_boundary_m(boundary, beta0, t, c, angle, d) for d in OFFSETS])
     n = len(OFFSETS)
     params = Group2Params(0.0, 0.0, np.full(n, beta0), m, t)
-    ppt = classify_batch(density_batch(group2_batch(center, 0.0, 0.0, params.beta0, m)))[2]
+    rho = density_batch(group2_batch(center, 0.0, 0.0, params.beta0, m))
+    ppt = classify_batch(rho)[2]
+    # The verdict-only kernel agrees with classify_batch everywhere, edge states included.
+    np.testing.assert_array_equal(ppt_verdicts(rho), ppt)
     disc = classify_by_region_batch(params)
     dual = dual_classify_by_region_batch(params)
     at_edge = (np.abs(_circle_offsets(beta0, t, m) - 4e-10) < 1e-12).any(axis=-1)

@@ -246,6 +246,15 @@ def test_verify_small_all():
     assert "result: PASS" in out
 
 
+def test_verify_all_matches_golden():
+    # Written by the CLI while density_batch still added one Pauli matrix per
+    # label; pins the printed max-error digits, which move if the rounding of
+    # any density matrix changes.
+    code, out, _ = run_cli("verify", "all", "--seed", "42", "--draws", "500")
+    assert code == 0
+    assert out == (DATA / "verify_all_golden.txt").read_text(encoding="utf-8")
+
+
 def test_verify_zero_draws_is_usage_error():
     code, _, _ = run_cli("verify", "region", "--draws", "0")
     assert code == 64

@@ -32,13 +32,18 @@ from xdoily.regions import (
 )
 from xdoily.spectra import (
     CLASSES,
+    ENTANGLED,
+    INVALID,
+    SEPARABLE,
     classify_batch,
     eig_hermitian4,
     group1_eigenvalues_batch,
     group2_eigenvalues_batch,
+    ppt_verdicts,
 )
 from xdoily.states import (
     ALL_LABELS,
+    PAULI_TENSOR,
     Group1Params,
     Group2Params,
     beta_batch,
@@ -132,6 +137,86 @@ def test_density_and_ppt_match_per_state_eigensolver():
             assert np.max(np.abs(eigs_rho[k] - ref_rho)) <= SPECTRUM_TOL
             assert np.max(np.abs(eigs_gamma[k] - ref_gamma)) <= SPECTRUM_TOL
             assert CLASSES[verdicts[k]] == xd.spectra.classify_matrix(ref).verdict
+
+
+def _density_loop(vectors) -> np.ndarray:
+    """density_batch as a label loop: c_k P_k added to the identity one label
+    at a time in ALL_LABELS order, skipping slots zero in every vector."""
+    c = np.asarray(vectors, dtype=float)
+    rho = np.zeros(c.shape[:-1] + (4, 4), dtype=complex)
+    rho[..., range(4), range(4)] = 1.0
+    for k in np.flatnonzero(c.reshape(-1, 15).any(axis=0)):
+        rho += c[..., k, None, None] * PAULI_TENSOR[k]
+    return rho / 4.0
+
+
+def _assert_bit_identical(got, ref):
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    assert np.array_equal(got, ref)
+    np.testing.assert_array_equal(np.signbit(got.view(float)), np.signbit(ref.view(float)))
+
+
+@pytest.mark.parametrize("scale", [1e-5, 1e-2, 1.0, 1e2, 1e5])
+@pytest.mark.parametrize("shape", [(15,), (300, 15), (2, 3, 15), (0, 15)])
+def test_density_batch_is_bit_identical_to_label_loop(scale, shape):
+    rng = np.random.default_rng(11)
+    dense = rng.uniform(-1, 1, shape) * scale
+    sparse = np.where(rng.random(shape) < 0.7, 0.0, dense)
+    sparse[rng.random(shape) < 0.1] = -0.0
+    for vectors in (dense, sparse, -sparse):
+        _assert_bit_identical(density_batch(vectors), _density_loop(vectors))
+
+
+def test_density_batch_is_bit_identical_when_support_varies_by_row():
+    rng = np.random.default_rng(12)
+    hyperplanes = xd.enumerate_hyperplanes()
+    # One row per hyperplane: every slot is nonzero in some rows only.
+    every = np.stack([hyperplane_batch(h, rng.uniform(-1, 1, h.size)) for h in hyperplanes])
+    # Two perp-sets: slots off both are zero in every row.
+    pair = np.concatenate(
+        [hyperplane_batch(h, rng.uniform(-3, 3, (5, h.size))) for h in hyperplanes[:2]]
+    )
+    for vectors in (every, pair, every[:, None, :].repeat(2, axis=1)):
+        _assert_bit_identical(density_batch(vectors), _density_loop(vectors))
+
+
+def _ppt_batches():
+    rng = np.random.default_rng(13)
+    hyperplanes = xd.enumerate_hyperplanes()
+    mixed = density_batch(
+        np.concatenate([hyperplane_batch(h, rng.uniform(-1, 1, (20, h.size))) for h in hyperplanes])
+    )
+    invalid = density_batch(rng.uniform(-1, 1, (50, 15)) * 4.0)
+    # Werner states over their whole valid range, separable up to p = 1/3.
+    p = np.linspace(-1.0 / 3.0, 1.0, 25)
+    werner = np.zeros((len(p), 15))
+    werner[:, [ALL_LABELS.index(label) for label in ("XX", "YY", "ZZ")]] = np.stack([p, -p, p], axis=-1)
+    valid = density_batch(np.concatenate([werner, rng.uniform(-1, 1, (50, 15)) * 0.05]))
+    return {
+        "all invalid": invalid,
+        "all valid": valid,
+        "mixed": mixed,
+        "empty": np.zeros((0, 4, 4), dtype=complex),
+        "stacked": mixed[:6].reshape(2, 3, 4, 4),
+        "one matrix": mixed[0],
+    }
+
+
+@pytest.mark.parametrize("name", ["all invalid", "all valid", "mixed", "empty", "stacked", "one matrix"])
+def test_ppt_verdicts_equal_classify_batch(name):
+    rho = _ppt_batches()[name]
+    verdicts = ppt_verdicts(rho)
+    ref = classify_batch(rho)[2]
+    assert verdicts.shape == ref.shape == rho.shape[:-2] and verdicts.dtype == ref.dtype
+    np.testing.assert_array_equal(verdicts, ref)
+    seen = set(np.unique(ref).tolist())
+    expected = {
+        "all invalid": {INVALID},
+        "all valid": {SEPARABLE, ENTANGLED},
+        "mixed": {INVALID, SEPARABLE, ENTANGLED},
+        "empty": set(),
+    }
+    assert seen == expected.get(name, seen)
 
 
 def test_eig_hermitian4_rejects_a_stack_with_one_non_hermitian_matrix():

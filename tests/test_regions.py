@@ -158,6 +158,13 @@ def test_region_params_for_state():
     )
     assert region_params_for_state(polarized) is None
 
+    # |tau| up to VALIDITY_TOL counts as zero, as it does in the disc routes.
+    zz = xd.perp_set(xd.pauli_to_point("ZZ"))
+    near_zero = xd.hyperplane_state(zz, {"ZI": 1e-11, "XX": 0.5})
+    params = region_params_for_state(near_zero)
+    assert params is not None and classify_by_region(params) == "separable"
+    assert region_params_for_state(xd.hyperplane_state(zz, {"ZI": 2e-10, "XX": 0.5})) is None
+
     assert region_params_for_state(xd.make_named_state("q0_state")) is None
     assert region_params_for_state(xd.make_named_state("ovoid_o1_state")) is None
 

@@ -85,6 +85,22 @@ def test_coefficients_are_one_vector_in_label_order():
         StateCoeffs(np.zeros(9))
 
 
+def test_coefficients_and_states_compare_by_value():
+    zz = xd.perp_set(xd.pauli_to_point("ZZ"))
+    assert StateCoeffs.zeros() == StateCoeffs.zeros()
+    a = StateCoeffs.from_labels({"XX": 0.5, "ZZ": -0.25})
+    assert a == StateCoeffs(a.vector()) and not a != StateCoeffs(a.vector())
+    assert a != StateCoeffs.from_labels({"XX": 0.5}) and a != StateCoeffs.zeros()
+    assert a != "XX" and a != 0.5 and a != None  # noqa: E711
+    state = xd.hyperplane_state(zz, {"XX": 0.5, "ZZ": -0.25})
+    assert state == xd.hyperplane_state(zz, {"ZZ": -0.25, "XX": 0.5})
+    assert state != xd.hyperplane_state(zz, {"XX": 0.5})
+    # Same coefficients on another hyperplane that holds both labels.
+    q0 = xd.quadric_q0()
+    assert state != xd.HyperplaneState(q0, a)
+    assert state != a and state != zz
+
+
 def test_gathered_coefficients_are_read_only():
     coeffs = StateCoeffs.from_labels({"XX": 0.5, "XI": 0.1, "IZ": 0.2})
     for name in ("tau_a", "tau_b", "beta"):

@@ -16,7 +16,7 @@ branch; both branches agree there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,8 +25,6 @@ from .spectra import INVALID
 from .states import Group2Params
 
 _CURVE_TOL = 1e-12
-
-REGIMES = ("circle-ellipse-arcs", "ellipse-only", "undefined")
 
 
 def bell_m_oracle_batch(beta) -> np.ndarray:
@@ -341,10 +339,12 @@ def heatmap_m(
     """
 
     def row_values(params: Group2Params) -> list:
-        # Python floats are made for valid cells only, as most cells are invalid.
+        # The measure is taken on valid cells only: they are bounded, so it
+        # cannot overflow there, and most cells are invalid.
         valid = classify_by_region_batch(params) != INVALID
         values = np.full(valid.shape, None, dtype=object)
-        values[valid] = bell_m_closed_batch(params).m_value[valid]
+        if valid.any():
+            values[valid] = bell_m_closed_batch(replace(params, m=params.m[valid])).m_value
         return values.tolist()
 
     return grid_rows(beta0, beta3, beta4, t, resolution, row_values)

@@ -176,8 +176,13 @@ def _run_analyze(args) -> int:
         text = fh.read()
     try:
         descriptor = json.loads(text, object_pairs_hook=_unique_keys)
+    except (json.JSONDecodeError, StateDescriptorError):
+        raise
     except RecursionError:
         raise json.JSONDecodeError("nested too deeply", text, 0) from None
+    except ValueError:  # int() refuses a literal over the interpreter's digit limit
+        limit = sys.get_int_max_str_digits()
+        raise json.JSONDecodeError(f"integer literal over {limit} digits", text, 0) from None
     state = state_from_descriptor(descriptor)
     # Huge coefficients overflow to non-finite results, which _json_text
     # reports as one line with EXIT_DATA; numpy's warnings would only add noise.

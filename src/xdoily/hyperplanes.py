@@ -13,8 +13,9 @@ are numbered 1..6 by ascending mask: all six have stabilizers of order 120
 inside Sp(4,2), so none stands out to lead.  No index-level agreement with
 any particular drawing of the Doily is claimed.
 
-The 720 point maps of Sp(4,2) are built on first use, by stabilizer_order
-and rotational_grid_families; the enumeration itself never needs them.
+The 720 point maps of Sp(4,2) are the closure of its 15 transvections,
+built on first use by stabilizer_order and rotational_grid_families; the
+enumeration itself never needs them.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .gf2 import (
 FULL_MASK = (1 << 15) - 1
 
 _BASIS = (8, 4, 2, 1)  # e1..e4 as points
+_IDENTITY = tuple(range(16))
 
 
 def point_mask(points) -> int:
@@ -132,40 +134,27 @@ def _q0_mask() -> int:
 def symplectic_transformations() -> tuple[tuple[int, ...], ...]:
     """Point permutations induced by Sp(4,2); there are 720 of them.
 
-    Entry t[p] is the image of point p (index 0 unused).  A linear map is
-    kept when its basis images preserve the symplectic form pairwise, which
-    over GF(2) already forces invertibility.
+    Entry t[p] is the image of point p (index 0 unused).  The group is the
+    closure of the 15 transvections T_v(x) = x + sigma(x, v) v, one per
+    point v, which generate it (Taylor, The Geometry of the Classical
+    Groups, 1992).  The maps are sorted by their basis images
+    (t[8], t[4], t[2], t[1]), the order of a sweep over all matrices by
+    their columns, so "the first order-5 map" in rotational_grid_families
+    names a fixed map.
     """
-    target = {
-        (i, j): symplectic_form(_BASIS[i], _BASIS[j])
-        for i in range(4)
-        for j in range(i + 1, 4)
-    }
-    perms = []
-    for word in range(1 << 16):
-        cols = ((word >> 12) & 15, (word >> 8) & 15, (word >> 4) & 15, word & 15)
-        if 0 in cols:
-            continue
-        if any(
-            symplectic_form(cols[i], cols[j]) != target[(i, j)]
-            for i in range(4)
-            for j in range(i + 1, 4)
-        ):
-            continue
-        images = [0] * 16
-        for p in POINTS:
-            img = 0
-            if p & 8:
-                img ^= cols[0]
-            if p & 4:
-                img ^= cols[1]
-            if p & 2:
-                img ^= cols[2]
-            if p & 1:
-                img ^= cols[3]
-            images[p] = img
-        perms.append(tuple(images))
-    return tuple(perms)
+    transvections = [
+        (0,) + tuple(p ^ v if symplectic_form(p, v) else p for p in POINTS)
+        for v in POINTS
+    ]
+    group = {_IDENTITY}
+    frontier = [_IDENTITY]
+    while frontier:
+        frontier = [
+            g for g in {_perm_compose(t, f) for f in frontier for t in transvections}
+            if g not in group
+        ]
+        group.update(frontier)
+    return tuple(sorted(group, key=lambda t: tuple(t[b] for b in _BASIS)))
 
 
 def transform_mask(mask: int, perm: tuple[int, ...]) -> int:
@@ -320,32 +309,19 @@ def collinear_within(h: Hyperplane, p: int, q: int) -> bool:
 def associated_center(h: Hyperplane) -> int:
     """The X-state family sharing h's two-factor correlation support.
 
-    A perp-set maps to its own center.  A grid other than Q0 meets Q0 in the
-    same five points as exactly one Group-2 perp-set; an ovoid meets Q0 in
-    the same three points as exactly one Group-1 perp-set.  Q0 itself has no
-    associated family.
+    A perp-set maps to its own center.  A grid other than Q0, or an ovoid,
+    spans a Veldkamp line with Q0 whose third hyperplane is the complement
+    of their symmetric difference (Saniga et al., SIGMA 3, 075, 2007).  That
+    third hyperplane is a perp-set meeting Q0 where h does: a Group-2 one
+    for a grid, a Group-1 one for an ovoid.  Its center is the family.  Q0
+    itself has no associated family.
     """
     if h.kind == "perp":
         return h.center
-    q0 = quadric_q0()
-    common = h.mask & q0.mask
-    if h.kind == "grid":
-        if h.mask == q0.mask:
-            raise ValueError("Q0 has no associated perp-set family")
-        cands = [
-            p
-            for p in POINTS
-            if group_of(p) == 2 and (point_mask(fano_plane(p)) & q0.mask) == common
-        ]
-    else:
-        cands = [
-            p
-            for p in POINTS
-            if group_of(p) == 1 and (common & point_mask(fano_plane(p))) == common
-        ]
-    if len(cands) != 1:
-        raise AssertionError(f"no unique family for {h.kind} {h.index}: {cands}")
-    return cands[0]
+    q0 = quadric_q0().mask
+    if h.mask == q0:
+        raise ValueError("Q0 has no associated perp-set family")
+    return _lookup()["mask"][FULL_MASK ^ h.mask ^ q0].center
 
 
 def hyperplane_census() -> tuple[int, int, int]:
@@ -363,9 +339,8 @@ def _perm_compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _perm_order(perm: tuple[int, ...]) -> int:
-    identity = tuple(range(16))
     order, cur = 1, perm
-    while cur != identity:
+    while cur != _IDENTITY:
         cur = _perm_compose(perm, cur)
         order += 1
         if order > 720:

@@ -138,7 +138,10 @@ class StateCoeffs:
 
     def set(self, label: str, value) -> None:
         slot = _SLOT[_validate_label(label)]
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:  # an integer beyond the float range
+            value = np.inf
         if not np.isfinite(value):
             raise StateDescriptorError(f"coefficient for {label} is not finite")
         self.values[slot] = value

@@ -180,6 +180,25 @@ def test_analyze_deeply_nested_json_is_data_error(tmp_path):
     assert err.startswith("unparsable JSON: ") and err.count("\n") == 1
 
 
+def test_analyze_integer_beyond_float_range_is_not_finite(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(
+        '{"hyperplane": {"kind": "perp", "id": "ZZ"}, "coefficients": {"XX": 1' + "0" * 400 + "}}"
+    )
+    code, out, err = run_cli("analyze", str(path))
+    assert code == 65 and out == ""
+    assert err == "invalid state descriptor: coefficient for XX is not finite\n"
+
+
+def test_analyze_integer_over_digit_limit_is_unparsable(tmp_path):
+    path = tmp_path / "long.json"
+    digits = "1" + "0" * sys.get_int_max_str_digits()
+    path.write_text('{"hyperplane": {"kind": "perp", "id": "ZZ"}, "coefficients": {"XX": ' + digits + "}}")
+    code, out, err = run_cli("analyze", str(path))
+    assert code == 65 and out == ""
+    assert err.startswith("unparsable JSON: ") and err.count("\n") == 1
+
+
 def test_unexpected_error_is_internal_error(monkeypatch):
     def fail(args):
         raise RuntimeError("line one\nline two")
@@ -333,19 +352,33 @@ def test_verify_small_draws_pass(argv):
     assert out.strip().endswith("result: PASS")
 
 
+def _run_fresh(*argv):
+    """The CLI in a fresh process, so numpy's warnings would reach stderr unfiltered."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "xdoily.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
+@pytest.mark.parametrize(
+    "beta0,c", [("1e300", "1e300,1e300"), ("0.1", "1e200,1e200")]
+)
+def test_heatmap_huge_inputs_write_nothing_to_stderr(beta0, c):
+    # Every cell is invalid, so the measure is never taken and cannot overflow.
+    proc = _run_fresh("heatmap", "--beta0", beta0, f"--c={c}", "--resolution", "2")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[1:] == ["-1.0,-1.0,", "-1.0,1.0,", "1.0,-1.0,", "1.0,1.0,"]
+
+
 def test_analyze_overflow_prints_one_line_to_stderr(tmp_path):
-    # A fresh process, so numpy's warnings would reach stderr unfiltered.
     path = _write_state(
         tmp_path,
         {"hyperplane": {"kind": "perp", "id": "ZZ"},
          "coefficients": {"XX": 1e160, "YY": -1.0, "ZZ": 1.0}},
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "xdoily.cli", "analyze", path],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
+    proc = _run_fresh("analyze", path)
     assert proc.returncode == 65
     assert proc.stdout == ""
     assert proc.stderr == "input out of range: the result holds a non-finite number\n"

@@ -1,4 +1,4 @@
-"""Smoke test: every narrative demo runs to completion."""
+"""Every narrative demo runs to completion and prints its recorded stdout."""
 
 import os
 import subprocess
@@ -9,6 +9,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+EXPECTED = Path(__file__).parent / "data" / "demos"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
@@ -19,3 +20,4 @@ def test_demo_runs(demo):
         [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == (EXPECTED / f"{demo.stem}.txt").read_text(encoding="utf-8")

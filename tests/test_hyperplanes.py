@@ -118,8 +118,73 @@ def test_associated_center_bijections():
         hp.associated_center(hp.quadric_q0())
 
 
+def _associated_center_by_scan(h):
+    """Reference: the perp-sets meeting Q0 where h does, found by scanning all 15."""
+    q0 = hp.quadric_q0().mask
+    common = h.mask & q0
+    if h.kind == "grid":
+        cands = [
+            p for p in gf2.POINTS
+            if hp.group_of(p) == 2 and (hp.point_mask(gf2.fano_plane(p)) & q0) == common
+        ]
+    else:
+        cands = [
+            p for p in gf2.POINTS
+            if hp.group_of(p) == 1 and (common & hp.point_mask(gf2.fano_plane(p))) == common
+        ]
+    assert len(cands) == 1, cands
+    return cands[0]
+
+
+def test_associated_center_matches_scan():
+    others = [g for g in hp.grids() if g.index != 0] + list(hp.ovoids())
+    assert len(others) == 15
+    for h in others:
+        assert hp.associated_center(h) == _associated_center_by_scan(h)
+    for p in gf2.POINTS:
+        assert hp.associated_center(hp.perp_set(p)) == p
+
+
+def _symplectic_by_sweep():
+    """Reference: every 4x4 matrix over GF(2), kept when its columns preserve sigma.
+
+    Words run over the basis images (e1, e2, e3, e4) = points (8, 4, 2, 1);
+    over GF(2), preserving the form pairwise already forces invertibility.
+    """
+    basis = (8, 4, 2, 1)
+    target = {
+        (i, j): gf2.symplectic_form(basis[i], basis[j])
+        for i in range(4)
+        for j in range(i + 1, 4)
+    }
+    perms = []
+    for word in range(1 << 16):
+        cols = ((word >> 12) & 15, (word >> 8) & 15, (word >> 4) & 15, word & 15)
+        if 0 in cols:
+            continue
+        if any(
+            gf2.symplectic_form(cols[i], cols[j]) != target[(i, j)]
+            for i in range(4)
+            for j in range(i + 1, 4)
+        ):
+            continue
+        images = [0] * 16
+        for p in gf2.POINTS:
+            img = 0
+            for bit, col in zip(basis, cols):
+                if p & bit:
+                    img ^= col
+            images[p] = img
+        perms.append(tuple(images))
+    return tuple(perms)
+
+
 def test_symplectic_group_order():
     assert len(hp.symplectic_transformations()) == 720
+
+
+def test_transvection_closure_matches_sweep():
+    assert hp.symplectic_transformations() == _symplectic_by_sweep()
 
 
 def test_enumeration_does_not_build_the_symplectic_group():

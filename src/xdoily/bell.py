@@ -20,11 +20,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .regions import classify_by_region_batch, grid_csv, grid_rows
+from .regions import classify_by_region_batch, grid_csv, grid_rows, tau_is_zero
 from .spectra import INVALID
 from .states import Group2Params
 
-_CURVE_TOL = 1e-12
+# constant_m_curve counts a squared radius or semi-axis, the length |C|, and
+# the differences deciding coincidence and crossings as zero within this.
+CURVE_TOL = 1e-12
+
+# The purity link reads M = 2 and beta0^2 + B = 3 to within this.  Both are
+# sums of a few squares of order one, whose rounding stays far below it.
+PURITY_TOL = 1e-9
 
 
 def bell_m_oracle_batch(beta) -> np.ndarray:
@@ -55,16 +61,6 @@ class NonlocalityReport:
     m1: float
     m2: float
     branch: str     # "B" | "beta0"
-
-    def to_json(self) -> dict:
-        return {
-            "m_value": self.m_value,
-            "b": self.b,
-            "u": self.u,
-            "m1": self.m1,
-            "m2": self.m2,
-            "branch": self.branch,
-        }
 
 
 def bell_m_closed_batch(params: Group2Params) -> NonlocalityReport:
@@ -138,9 +134,7 @@ def _to_original_frame(u: float, v: float, theta: float) -> tuple[float, float]:
     )
 
 
-def constant_m_curve(
-    k: float, beta0: float, beta3: float, beta4: float, tol: float = _CURVE_TOL
-) -> ConstantMCurve:
+def constant_m_curve(k: float, beta0: float, beta3: float, beta4: float) -> ConstantMCurve:
     """Describe the set of (beta1, beta2) with measure exactly k.
 
     When nonempty the set is the union of circle arcs inside the ellipse
@@ -155,13 +149,13 @@ def constant_m_curve(
     c_sq = c_len * c_len
 
     r_b_sq = k - c_sq
-    circle_radius = math.sqrt(r_b_sq) if r_b_sq > tol else None
+    circle_radius = math.sqrt(r_b_sq) if r_b_sq > CURVE_TOL else None
 
     m2 = k - beta0 * beta0
     b_sq = m2 - c_sq
 
     foci = ((beta4, beta3), (-beta4, -beta3))
-    if m2 <= tol or b_sq < -tol:
+    if m2 <= CURVE_TOL or b_sq < -CURVE_TOL:
         # No states attain the ellipse branch here, and the circle branch is
         # dominated pointwise, so the level set is empty.
         return ConstantMCurve(
@@ -172,16 +166,16 @@ def constant_m_curve(
     a = math.sqrt(m2)
     b = math.sqrt(max(b_sq, 0.0))
 
-    if c_len <= tol:
+    if c_len <= CURVE_TOL:
         # Concentric circles; equal radii exactly when beta0 = 0.
-        coincident = circle_radius is not None and abs(r_b_sq - m2) <= tol
+        coincident = circle_radius is not None and abs(r_b_sq - m2) <= CURVE_TOL
         return ConstantMCurve(
             k=k, beta0=beta0, c=(beta4, beta3), frame_rotation=theta,
             circle_radius=circle_radius, ellipse_a=a, ellipse_b=b,
             foci=foci, intersections=(), regime="ellipse-only", coincident=coincident,
         )
 
-    if beta0 * beta0 <= c_sq + tol and circle_radius is not None:
+    if beta0 * beta0 <= c_sq + CURVE_TOL and circle_radius is not None:
         m1_at = beta0 * beta0  # value of m1 at the crossing points
         bhat1 = math.sqrt(max(m1_at * m2, 0.0)) / c_len
         bhat2 = math.sqrt(max((c_sq - m1_at) * (m2 - c_sq), 0.0)) / c_len
@@ -304,24 +298,24 @@ def m_upper_bound(params: Group2Params) -> float:
     return float(m_upper_bound_batch(params.as_batch())[0])
 
 
-def purity_equivalence_batch(params: Group2Params, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
-    """(maximal, pure) per state of a batch: M = 2, and beta0^2 + B = 3, to within tol."""
-    if (np.abs(params.tau1) > tol).any() or (np.abs(params.tau2) > tol).any():
+def purity_equivalence_batch(params: Group2Params) -> tuple[np.ndarray, np.ndarray]:
+    """(maximal, pure) per state of a batch: M = 2, and beta0^2 + B = 3, to within PURITY_TOL."""
+    if not tau_is_zero(params.tau1, params.tau2):
         raise ValueError("the purity link is stated for tau1 = tau2 = 0")
     report = bell_m_closed_batch(params)
     beta0 = np.asarray(params.beta0, dtype=float)
-    maximal = np.abs(report.m_value - 2.0) <= tol
-    pure = np.abs(beta0 * beta0 + report.b - 3.0) <= tol
+    maximal = np.abs(report.m_value - 2.0) <= PURITY_TOL
+    pure = np.abs(beta0 * beta0 + report.b - 3.0) <= PURITY_TOL
     return maximal, pure
 
 
-def purity_equivalence_check(params: Group2Params, tol: float = 1e-9) -> str:
+def purity_equivalence_check(params: Group2Params) -> str:
     """Check that maximal violation (M = 2) and purity (beta0^2 + B = 3) co-occur.
 
     Meaningful for valid tau=0 parameters; returns "pure_and_maximal",
     "neither", or "violation_of_prop" when exactly one predicate holds.
     """
-    maximal, pure = purity_equivalence_batch(params.as_batch(), tol)
+    maximal, pure = purity_equivalence_batch(params.as_batch())
     if maximal[0] and pure[0]:
         return "pure_and_maximal"
     if not maximal[0] and not pure[0]:

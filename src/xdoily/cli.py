@@ -119,6 +119,10 @@ def build_parser() -> _Parser:
     return parser
 
 
+class UnparsableJSON(ValueError):
+    """JSON the parser gave up on at no one position: too deep, or an over-long integer."""
+
+
 class NonFiniteResult(ValueError):
     """The input overflowed: a result holds NaN or an infinity, or its spectrum diverged."""
 
@@ -179,10 +183,9 @@ def _run_analyze(args) -> int:
     except (json.JSONDecodeError, StateDescriptorError):
         raise
     except RecursionError:
-        raise json.JSONDecodeError("nested too deeply", text, 0) from None
+        raise UnparsableJSON("nested too deeply") from None
     except ValueError:  # int() refuses a literal over the interpreter's digit limit
-        limit = sys.get_int_max_str_digits()
-        raise json.JSONDecodeError(f"integer literal over {limit} digits", text, 0) from None
+        raise UnparsableJSON(f"integer literal over {sys.get_int_max_str_digits()} digits") from None
     state = state_from_descriptor(descriptor)
     # Huge coefficients overflow to non-finite results, which _json_text
     # reports as one line with EXIT_DATA; numpy's warnings would only add noise.
@@ -261,7 +264,7 @@ def main(argv=None) -> int:
     except StateDescriptorError as exc:
         sys.stderr.write(f"invalid state descriptor: {exc}\n")
         return EXIT_DATA
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, UnparsableJSON) as exc:
         sys.stderr.write(f"unparsable JSON: {exc}\n")
         return EXIT_DATA
     except NonFiniteResult as exc:

@@ -278,6 +278,20 @@ def group_of(p: int) -> int:
     return 2 if (p & 0b1100) and (p & 0b0011) else 1
 
 
+def detect_type(center: int) -> int:
+    """Which closed eigenvalue form a Group-2 family follows, by the Y-parity rule.
+
+    The second form, with the spectra of rho and of its partial transpose
+    swapped, holds when exactly one factor of the center is Y (XY, ZY, YX,
+    YZ): then the center's Pauli matrix is imaginary, and Y is the only Pauli
+    that is odd under transpose.  The spectral verify suite checks the rule
+    against the numeric oracle.
+    """
+    if group_of(center) != 2:
+        raise ValueError("detect_type needs a Group-2 center")
+    return 2 if ((center >> 2) & 3 == 3) != (center & 3 == 3) else 1
+
+
 def intersect_with_q0(h: Hyperplane) -> IntersectionReport:
     """Intersection type of a perp-set with Q0.
 

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import POINTS, point_to_pauli
-from .hyperplanes import group_of
-from .spectra import CLASSES, ENTANGLED, INVALID, SEPARABLE, VALIDITY_TOL, detect_type, ppt_verdicts
+from .gf2 import POINTS
+from .hyperplanes import detect_type, group_of
+from .spectra import CLASSES, ENTANGLED, INVALID, SEPARABLE, VALIDITY_TOL, ppt_verdicts
 from .states import Group2Params, density_batch, extract_group2_params, group2_batch
 
 # An eigenvalue (1 +- beta0 +- distance) / 4 moves by a quarter of the
@@ -109,46 +109,51 @@ def l_minus(params: Group2Params) -> float:
     return float(region_geometry(params).l_minus)
 
 
+def tau_is_zero(*taus) -> bool:
+    """The one rule for tau = 0, on every route that needs it: no |tau| exceeds VALIDITY_TOL."""
+    return not any((np.abs(tau) > VALIDITY_TOL).any() for tau in taus)
+
+
 def _require_tau_zero(params: Group2Params) -> None:
-    if (np.abs(params.tau1) > VALIDITY_TOL).any() or (np.abs(params.tau2) > VALIDITY_TOL).any():
+    if not tau_is_zero(params.tau1, params.tau2):
         raise ValueError("region classification requires tau1 = tau2 = 0")
 
 
-def _disc_verdicts(px, py, cx, cy, r, big_r, sign, tol: float) -> np.ndarray:
+def _disc_verdicts(px, py, cx, cy, r, big_r, sign) -> np.ndarray:
     # With P = (px, py) and X = (cx, cy): valid when sP lies in (X, r) n (-X, R),
     # separable when P lies in (X, r) n (-X, r), entangled otherwise.
     sx, sy = sign * px, sign * py
-    r_tol = r + tol
-    valid = (np.hypot(sx - cx, sy - cy) <= r_tol) & (np.hypot(sx + cx, sy + cy) <= big_r + tol)
+    r_tol = r + MEMBERSHIP_TOL
+    valid = (np.hypot(sx - cx, sy - cy) <= r_tol) & (np.hypot(sx + cx, sy + cy) <= big_r + MEMBERSHIP_TOL)
     separable = (np.hypot(px - cx, py - cy) <= r_tol) & (np.hypot(px + cx, py + cy) <= r_tol)
     return np.where(valid, np.where(separable, SEPARABLE, ENTANGLED), INVALID)
 
 
-def classify_by_region_batch(params: Group2Params, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
+def classify_by_region_batch(params: Group2Params) -> np.ndarray:
     """Disc-membership verdicts (indices into CLASSES) of a batch of tau=0 parameters.
 
     The point E = (b1, -b2) against discs centered at C = (b4, b3).
     """
     _require_tau_zero(params)
     b1, b2, b3, b4, r, big_r, sign = _disc_data(params)
-    return _disc_verdicts(b1, -b2, b4, b3, r, big_r, sign, tol)
+    return _disc_verdicts(b1, -b2, b4, b3, r, big_r, sign)
 
 
-def dual_classify_by_region_batch(params: Group2Params, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
+def dual_classify_by_region_batch(params: Group2Params) -> np.ndarray:
     """Mirror-route verdicts, batched: the point F = (b4, -b3) against discs centered at D = (b1, b2)."""
     _require_tau_zero(params)
     b1, b2, b3, b4, r, big_r, sign = _disc_data(params)
-    return _disc_verdicts(b4, -b3, b1, b2, r, big_r, sign, tol)
+    return _disc_verdicts(b4, -b3, b1, b2, r, big_r, sign)
 
 
-def classify_by_region(params: Group2Params, tol: float = MEMBERSHIP_TOL) -> str:
+def classify_by_region(params: Group2Params) -> str:
     """Disc-membership classification; agrees with the PPT route."""
-    return CLASSES[int(classify_by_region_batch(params.as_batch(), tol)[0])]
+    return CLASSES[int(classify_by_region_batch(params.as_batch())[0])]
 
 
-def dual_classify_by_region(params: Group2Params, tol: float = MEMBERSHIP_TOL) -> str:
+def dual_classify_by_region(params: Group2Params) -> str:
     """Mirror-route classification through D-centered discs and the point F."""
-    return CLASSES[int(dual_classify_by_region_batch(params.as_batch(), tol)[0])]
+    return CLASSES[int(dual_classify_by_region_batch(params.as_batch())[0])]
 
 
 def region_emptiness(beta0: float, beta3: float, beta4: float) -> tuple[bool, bool]:
@@ -170,8 +175,6 @@ def grid_rows(beta0: float, beta3: float, beta4: float, t: int, resolution: int,
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    if t not in (1, 2):
-        raise ValueError("type tag must be 1 or 2")
     step = 4.0 / resolution
     centers = [-2.0 + (i + 0.5) * step for i in range(resolution)]
     block_rows = min(resolution, max(1, GRID_BLOCK // resolution))
@@ -233,12 +236,12 @@ def region_csv(rows) -> str:
     return grid_csv("beta1,beta2,class", rows, format)
 
 
-def region_params_for_state(state, tol: float = VALIDITY_TOL) -> Group2Params | None:
+def region_params_for_state(state) -> Group2Params | None:
     """Group-2 parameters of a state when the disc route applies, else None.
 
     The route needs a Group-2 perp-set or a grid other than Q0, with every
-    Bloch (tau) coefficient zero to within tol, the bound the disc routes
-    themselves accept.
+    Bloch (tau) coefficient zero by tau_is_zero, the rule the disc routes
+    themselves apply.
     """
     h = state.hyperplane
     if h.kind == "ovoid":
@@ -247,7 +250,7 @@ def region_params_for_state(state, tol: float = VALIDITY_TOL) -> Group2Params | 
         return None
     if h.kind == "perp" and group_of(h.center) != 2:
         return None
-    if np.max(np.abs(state.coeffs.tau_a)) > tol or np.max(np.abs(state.coeffs.tau_b)) > tol:
+    if not tau_is_zero(state.coeffs.tau_a, state.coeffs.tau_b):
         return None
     return extract_group2_params(state)
 
@@ -265,17 +268,13 @@ class SignRuleReport:
         return not self.counterexamples
 
 
-def _first_type1_center() -> int:
-    return next(p for p in POINTS if group_of(p) == 2 and detect_type(p) == 1)
-
-
 # A fuzz run keeps drawing past its requested draws until this many draws
 # qualified, within SIGN_RULE_ATTEMPTS_PER_TEST attempts per qualifying draw.
 SIGN_RULE_MIN_TESTED = 20
 SIGN_RULE_ATTEMPTS_PER_TEST = 200
 
 
-def sign_rule_fuzz(draws: int, seed: int = 42, center: int | None = None) -> SignRuleReport:
+def sign_rule_fuzz(draws: int, seed: int = 42) -> SignRuleReport:
     """Check beta0 < 0 iff L+ > L- over random valid entangled tau=0 states.
 
     The rule is stated for the first closed form, so draws are embedded in a
@@ -286,10 +285,7 @@ def sign_rule_fuzz(draws: int, seed: int = 42, center: int | None = None) -> Sig
     """
     if draws < 0:
         raise ValueError("draws must be nonnegative")
-    if center is None:
-        center = _first_type1_center()
-    elif detect_type(center) != 1:
-        raise ValueError(f"{point_to_pauli(center)} is not a type-1 family")
+    center = next(p for p in POINTS if group_of(p) == 2 and detect_type(p) == 1)
     rng = np.random.default_rng(seed)
     attempt_cap = max(draws, SIGN_RULE_ATTEMPTS_PER_TEST * SIGN_RULE_MIN_TESTED)
     attempts = 0

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf2 import POINTS, point_to_pauli
-from .hyperplanes import group_of
+from .hyperplanes import detect_type, group_of  # detect_type is re-exported
 from .states import (
     Group1Params,
     Group2Params,
@@ -26,24 +26,28 @@ from .states import (
 # below zero; anything beyond it counts as genuinely negative.
 VALIDITY_TOL = 1e-10
 
+# eig_hermitian4 rejects a matrix whose asymmetry exceeds this many times
+# max(1, its largest entry): rounding grows with the entries.
+HERMITIAN_TOL = 1e-12
+
 # Verdicts; the batch classifiers of every route return indices into this.
 CLASSES = ("invalid", "separable", "entangled")
 INVALID, SEPARABLE, ENTANGLED = range(3)
 
 
-def eig_hermitian4(h, hermitian_tol: float = 1e-12) -> np.ndarray:
+def eig_hermitian4(h) -> np.ndarray:
     """Ascending eigenvalues of a 4x4 Hermitian matrix, or (..., 4) of a stack (..., 4, 4).
 
-    Rejects inputs that are not Hermitian to within hermitian_tol times
-    max(1, max|h|), taken per matrix: rounding grows with the entries.
+    Rejects inputs that are not Hermitian to within HERMITIAN_TOL times
+    max(1, max|h|), taken per matrix.
     """
     h = np.asarray(h, dtype=complex)
     if h.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {h.shape}")
     asym = np.abs(h - np.swapaxes(h, -1, -2).conj())
-    if h.size and asym.max() > hermitian_tol:  # only then is the scale needed
+    if h.size and asym.max() > HERMITIAN_TOL:  # only then is the scale needed
         scale = np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))
-        if np.any(asym.max(axis=(-2, -1)) > hermitian_tol * scale):
+        if np.any(asym.max(axis=(-2, -1)) > HERMITIAN_TOL * scale):
             raise ValueError("matrix is not Hermitian to tolerance")
     return np.linalg.eigvalsh(h)
 
@@ -84,9 +88,6 @@ def group2_eigenvalues_batch(params: Group2Params) -> tuple[np.ndarray, np.ndarr
     t1, t2 = np.asarray(params.tau1, dtype=float), np.asarray(params.tau2, dtype=float)
     b0 = np.asarray(params.beta0, dtype=float)
     t = np.asarray(params.t)
-    bad = t[(t != 1) & (t != 2)]
-    if bad.size:
-        raise ValueError(f"type tag must be 1 or 2, got {bad.flat[0].item()!r}")
 
     def spectrum(rad_plus, rad_minus) -> np.ndarray:
         # Half spectra 1/4 (1 + shift +- radical) at shifts b0 and -b0.
@@ -149,22 +150,22 @@ class SpectralReport:
         }
 
 
-def _ppt_valid(lam_rho, tol: float) -> np.ndarray:
-    """Validity from the least eigenvalue of rho: lam_rho >= -tol."""
-    return lam_rho >= -tol
+def _ppt_valid(lam_rho) -> np.ndarray:
+    """Validity from the least eigenvalue of rho: lam_rho >= -VALIDITY_TOL."""
+    return lam_rho >= -VALIDITY_TOL
 
 
-def _ppt_rule(lam_rho, lam_gamma, tol: float) -> np.ndarray:
+def _ppt_rule(lam_rho, lam_gamma) -> np.ndarray:
     """Verdicts from the least eigenvalues of rho and of its partial transpose.
 
-    A valid state is entangled when lam_gamma < -tol.  lam_gamma is not
-    read where rho is invalid.
+    A valid state is entangled when lam_gamma < -VALIDITY_TOL.  lam_gamma
+    is not read where rho is invalid.
     """
-    entangled = lam_gamma < -tol
-    return np.where(_ppt_valid(lam_rho, tol), np.where(entangled, ENTANGLED, SEPARABLE), INVALID)
+    entangled = lam_gamma < -VALIDITY_TOL
+    return np.where(_ppt_valid(lam_rho), np.where(entangled, ENTANGLED, SEPARABLE), INVALID)
 
 
-def classify_batch(rho, tol: float = VALIDITY_TOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def classify_batch(rho) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """PPT classification of a stack (..., 4, 4) of Hermitian matrices.
 
     Returns the spectra of rho and of its partial transpose, and the
@@ -172,11 +173,11 @@ def classify_batch(rho, tol: float = VALIDITY_TOL) -> tuple[np.ndarray, np.ndarr
     """
     eigs_rho = eig_hermitian4(rho)
     eigs_gamma = eig_hermitian4(partial_transpose(rho))
-    return eigs_rho, eigs_gamma, _ppt_rule(eigs_rho[..., 0], eigs_gamma[..., 0], tol)
+    return eigs_rho, eigs_gamma, _ppt_rule(eigs_rho[..., 0], eigs_gamma[..., 0])
 
 
-def ppt_verdicts(rho, tol: float = VALIDITY_TOL) -> np.ndarray:
-    """The verdicts of classify_batch(rho, tol), solving only what they need.
+def ppt_verdicts(rho) -> np.ndarray:
+    """The verdicts of classify_batch(rho), solving only what they need.
 
     Every rho is eigensolved, but only the partial transposes of the valid
     ones: the verdict of an invalid state does not depend on its partial
@@ -184,41 +185,27 @@ def ppt_verdicts(rho, tol: float = VALIDITY_TOL) -> np.ndarray:
     """
     rho = np.asarray(rho, dtype=complex)
     lam_rho = eig_hermitian4(rho)[..., 0]
-    valid = _ppt_valid(lam_rho, tol)
+    valid = _ppt_valid(lam_rho)
     lam_gamma = np.zeros_like(lam_rho)
     lam_gamma[valid] = eig_hermitian4(partial_transpose(rho[valid]))[..., 0]
-    return _ppt_rule(lam_rho, lam_gamma, tol)
+    return _ppt_rule(lam_rho, lam_gamma)
 
 
-def classify_matrix(rho, tol: float = VALIDITY_TOL) -> SpectralReport:
+def classify_matrix(rho) -> SpectralReport:
     """PPT classification of an arbitrary 4x4 Hermitian matrix."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
-    eigs_rho, eigs_gamma, verdicts = classify_batch(rho[None], tol=tol)
+    eigs_rho, eigs_gamma, verdicts = classify_batch(rho[None])
     verdict = int(verdicts[0])
     return SpectralReport(
         eigs_rho[0], eigs_gamma[0], verdict != INVALID, verdict == SEPARABLE, verdict == ENTANGLED
     )
 
 
-def classify(state: HyperplaneState, tol: float = VALIDITY_TOL) -> SpectralReport:
+def classify(state: HyperplaneState) -> SpectralReport:
     """Assemble the state's density matrix and classify it via PPT."""
-    return classify_matrix(build_density_matrix(state), tol=tol)
-
-
-def detect_type(center: int) -> int:
-    """Which closed eigenvalue form a Group-2 family follows, by the Y-parity rule.
-
-    The second form, with the spectra of rho and of its partial transpose
-    swapped, holds when exactly one factor of the center is Y (XY, ZY, YX,
-    YZ): then the center's Pauli matrix is imaginary, and Y is the only Pauli
-    that is odd under transpose.  The spectral verify suite checks the rule
-    against the numeric oracle.
-    """
-    if group_of(center) != 2:
-        raise ValueError("detect_type needs a Group-2 center")
-    return 2 if ((center >> 2) & 3 == 3) != (center & 3 == 3) else 1
+    return classify_matrix(build_density_matrix(state))
 
 
 def detected_types() -> dict[str, int]:

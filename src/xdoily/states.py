@@ -20,6 +20,7 @@ from .gf2 import POINTS, pauli_to_point, point_to_pauli
 from .hyperplanes import (
     Hyperplane,
     associated_center,
+    detect_type,
     group_of,
     hyperplane_by_id,
     hyperplane_by_points,
@@ -365,6 +366,12 @@ class Group2Params:
     m: np.ndarray
     t: int
 
+    def __post_init__(self) -> None:
+        t = np.asarray(self.t)
+        bad = t[(t != 1) & (t != 2)] if t.dtype.kind in "iuf" else t.reshape(-1)
+        if bad.size:
+            raise ValueError(f"type tag must be 1 or 2, got {bad.tolist()[0]!r}")
+
     def as_batch(self) -> "Group2Params":
         """These parameters as a batch of one state."""
         return Group2Params(
@@ -449,13 +456,13 @@ def extract_group1_params(state: HyperplaneState) -> Group1Params:
     return Group1Params(float(p.tau0), p.tau, p.beta)
 
 
-def extract_group2_params(state: HyperplaneState, t: int | None = None) -> Group2Params:
+def extract_group2_params(state: HyperplaneState) -> Group2Params:
     """Generalised parameters of a Group-2 perp-set or non-Q0 grid state.
 
     For grids the two center-aligned Bloch coordinates are off-support and
     therefore zero; any other tau coefficients a grid state may carry are
-    outside this parameterisation.  When t is None the family type is
-    resolved by the Y-parity rule of spectra.detect_type.
+    outside this parameterisation.  The family type is resolved by the
+    Y-parity rule of detect_type.
     """
     h = state.hyperplane
     if h.kind == "perp":
@@ -466,11 +473,7 @@ def extract_group2_params(state: HyperplaneState, t: int | None = None) -> Group
         center = associated_center(h)  # rejects Q0
     else:
         raise ValueError("ovoid states have no beta0/M split")
-    if t is None:
-        from .spectra import detect_type
-
-        t = detect_type(center)
-    p = group2_params_batch(center, state.coeffs.values, int(t))
+    p = group2_params_batch(center, state.coeffs.values, detect_type(center))
     return Group2Params(float(p.tau1), float(p.tau2), float(p.beta0), p.m, p.t)
 
 

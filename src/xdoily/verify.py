@@ -58,9 +58,9 @@ from .spectra import (
     CLASSES,
     ENTANGLED,
     INVALID,
+    classify_batch,
     detect_type,
     detected_types,
-    eig_hermitian4,
     group1_eigenvalues_batch,
     group2_eigenvalues_batch,
     ppt_verdicts,
@@ -76,10 +76,13 @@ from .states import (
     group2_params_batch,
     hyperplane_batch,
     make_named_state,
-    partial_transpose,
 )
 
 SUITES = ("geometry", "spectral", "region", "nonlocality")
+
+# The bound on each closed form's error against its numeric oracle, and the
+# slack on each inequality a suite checks (ceilings, ranges, unit trace).
+ORACLE_TOL = 1e-10
 
 
 @dataclass
@@ -239,7 +242,6 @@ def spectral_suite(seed: int = 42, draws: int = 1000) -> list[CheckResult]:
     """Closed-form spectra against the numeric oracle, `draws` draws per family."""
     checks: list[CheckResult] = []
     rng = np.random.default_rng(seed)
-    tol = 1e-10
 
     max_err = 0.0
     max_multiset = 0.0
@@ -249,19 +251,17 @@ def spectral_suite(seed: int = 42, draws: int = 1000) -> list[CheckResult]:
         for n in _chunks(draws):
             x = rng.uniform(-1, 1, (n, 7))  # per draw: tau0, tau, beta
             vectors = group1_batch(center, x[:, 0], x[:, 1:4], x[:, 4:7])
-            rho = density_batch(vectors)
-            eigs = eig_hermitian4(rho)
-            eigs_g = eig_hermitian4(partial_transpose(rho))
+            eigs, eigs_g, verdicts = classify_batch(density_batch(vectors))
             lam = group1_eigenvalues_batch(group1_params_batch(center, vectors))
             max_err = max(max_err, _max_abs(lam - eigs), _max_abs(lam - eigs_g))
             max_multiset = max(max_multiset, _max_abs(eigs - eigs_g))
             max_sum_err = max(max_sum_err, _max_abs(eigs.sum(axis=-1) - 1.0))
-            g1_sep_violations += _count((eigs[:, 0] >= -tol) & (eigs_g[:, 0] < -tol))
+            g1_sep_violations += _count(verdicts == ENTANGLED)
     checks.append(
         CheckResult(
             "spectral",
             "Group-1 closed form matches oracle",
-            max_err <= tol,
+            max_err <= ORACLE_TOL,
             f"max |closed - oracle| = {max_err:.3e} over {draws} draws x 6 families",
         )
     )
@@ -269,7 +269,7 @@ def spectral_suite(seed: int = 42, draws: int = 1000) -> list[CheckResult]:
         CheckResult(
             "spectral",
             "Group-1 spectra equal their partial-transpose spectra",
-            max_multiset <= tol,
+            max_multiset <= ORACLE_TOL,
             f"max multiset deviation = {max_multiset:.3e}",
         )
     )
@@ -293,19 +293,17 @@ def spectral_suite(seed: int = 42, draws: int = 1000) -> list[CheckResult]:
         for n in _chunks(draws):
             x = rng.uniform(-1, 1, (n, 7))  # per draw: tau1, tau2, beta0, M row-major
             tau1, tau2, beta0, m = x[:, 0], x[:, 1], x[:, 2], x[:, 3:].reshape(n, 2, 2)
-            rho = density_batch(group2_batch(center, tau1, tau2, beta0, m))
-            eigs = eig_hermitian4(rho)
-            eigs_g = eig_hermitian4(partial_transpose(rho))
+            eigs, eigs_g, _ = classify_batch(density_batch(group2_batch(center, tau1, tau2, beta0, m)))
             lam, gam = group2_eigenvalues_batch(Group2Params(tau1, tau2, beta0, m, t))
             max_err2 = max(max_err2, _max_abs(lam - eigs), _max_abs(gam - eigs_g))
             swapped_err = max(swapped_err, _max_abs(gam - eigs), _max_abs(lam - eigs_g))
             max_sum_err = max(max_sum_err, _max_abs(eigs.sum(axis=-1) - 1.0))
-        unresolved += swapped_err <= tol
+        unresolved += swapped_err <= ORACLE_TOL
     checks.append(
         CheckResult(
             "spectral",
             "Group-2 closed form matches oracle",
-            max_err2 <= tol,
+            max_err2 <= ORACLE_TOL,
             f"max |closed - oracle| = {max_err2:.3e} over {draws} draws x 9 families",
         )
     )
@@ -321,7 +319,7 @@ def spectral_suite(seed: int = 42, draws: int = 1000) -> list[CheckResult]:
         CheckResult(
             "spectral",
             "eigenvalues sum to one",
-            max_sum_err <= 1e-10,
+            max_sum_err <= ORACLE_TOL,
             f"max |sum - 1| = {max_sum_err:.3e}",
         )
     )
@@ -446,7 +444,7 @@ def nonlocality_suite(seed: int = 42, draws: int = 10000) -> list[CheckResult]:
         CheckResult(
             "nonlocality",
             "closed measure matches oracle",
-            max_err <= 1e-10,
+            max_err <= ORACLE_TOL,
             f"max |closed - oracle| = {max_err:.3e} over {per_family} draws x {len(families)} families",
         )
     )
@@ -470,8 +468,8 @@ def nonlocality_suite(seed: int = 42, draws: int = 10000) -> list[CheckResult]:
         family, beta0, m = family[keep], x[keep, 0], x[keep, 1:].reshape(-1, 2, 2)
         params = Group2Params(0.0, 0.0, beta0, m, types[family])
         m_val = bell_m_closed_batch(params).m_value
-        bound_viol += _count(m_val > 1.0 + beta0 * beta0 + 1e-10)
-        range_viol += _count((m_val < -1e-10) | (m_val > 2.0 + 1e-10))
+        bound_viol += _count(m_val > 1.0 + beta0 * beta0 + ORACLE_TOL)
+        range_viol += _count((m_val < -ORACLE_TOL) | (m_val > 2.0 + ORACLE_TOL))
         maximal, pure = purity_equivalence_batch(params)
         purity_viol += _count(maximal != pure)
         hot = m_val > 1.0
@@ -538,7 +536,7 @@ def nonlocality_suite(seed: int = 42, draws: int = 10000) -> list[CheckResult]:
         keep = np.flatnonzero(verdicts != INVALID)[: general_target - general_seen]
         general_seen += len(keep)
         params = Group2Params(tau1[keep], tau2[keep], beta0[keep], m[keep], types[family[keep]])
-        general_viol += _count(bell_m_closed_batch(params).m_value > m_upper_bound_batch(params) + 1e-10)
+        general_viol += _count(bell_m_closed_batch(params).m_value > m_upper_bound_batch(params) + ORACLE_TOL)
     checks.append(
         CheckResult(
             "nonlocality",
@@ -585,7 +583,7 @@ def nonlocality_suite(seed: int = 42, draws: int = 10000) -> list[CheckResult]:
         for n in _chunks(lr_draws):
             vectors = _random_vectors(h, rng, n)
             valid = ppt_verdicts(density_batch(vectors)) != INVALID
-            lr_viol += _count(valid & (bell_m_oracle_batch(beta_batch(vectors)) > 1.0 + 1e-10))
+            lr_viol += _count(valid & (bell_m_oracle_batch(beta_batch(vectors)) > 1.0 + ORACLE_TOL))
     checks.append(
         CheckResult(
             "nonlocality",

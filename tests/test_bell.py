@@ -66,7 +66,7 @@ def test_closed_form_matches_oracle_per_family(center):
         state = group2_state(
             center, *rng.uniform(-1, 1, 3), rng.uniform(-1, 1, (2, 2))
         )
-        params = xd.extract_group2_params(state, t=1)
+        params = xd.extract_group2_params(state)
         closed = bell_m_closed(params).m_value
         assert abs(closed - bell_m_oracle(state.coeffs.beta)) < 1e-10
 
@@ -79,7 +79,7 @@ def test_closed_form_matches_oracle_on_grids():
         labels = grid.labels()
         for _ in range(100):
             state = hyperplane_state(grid, dict(zip(labels, rng.uniform(-1, 1, 9))))
-            params = xd.extract_group2_params(state, t=1)
+            params = xd.extract_group2_params(state)
             closed = bell_m_closed(params).m_value
             assert abs(closed - bell_m_oracle(state.coeffs.beta)) < 1e-10
 
@@ -212,6 +212,20 @@ def test_purity_equivalence_anchors():
     assert purity_equivalence_check(werner9) == "neither"
     with pytest.raises(ValueError):
         purity_equivalence_check(_params(0.5, np.zeros((2, 2)), tau=(0.1, 0.0)))
+
+
+def test_purity_link_counts_tau_as_zero_as_the_disc_route_does():
+    # |tau| = 5e-10 is over VALIDITY_TOL: both routes refuse it, and both take 1e-11 as zero.
+    epr_m = [[1.0, 0.0], [0.0, -1.0]]
+    for tau in ((5e-10, 0.0), (0.0, -5e-10)):
+        params = _params(1.0, epr_m, tau=tau)
+        with pytest.raises(ValueError):
+            purity_equivalence_check(params)
+        with pytest.raises(ValueError):
+            xd.classify_by_region(params)
+    near_zero = _params(1.0, epr_m, tau=(1e-11, -1e-11))
+    assert purity_equivalence_check(near_zero) == "pure_and_maximal"
+    assert xd.classify_by_region(near_zero) == "entangled"
 
 
 def test_purity_equivalence_sweep():

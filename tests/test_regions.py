@@ -143,9 +143,13 @@ def test_sign_rule_fuzz_zero_counterexamples():
 def test_sign_rule_fuzz_validations():
     with pytest.raises(ValueError):
         sign_rule_fuzz(-1)
-    type2 = next(c for c in GROUP2_CENTERS if detect_type(c) == 2)
-    with pytest.raises(ValueError):
-        sign_rule_fuzz(10, center=type2)
+
+
+@pytest.mark.parametrize("t", [0, 3, 1.5, "1"])
+@pytest.mark.parametrize("route", [classify_by_region, dual_classify_by_region, xd.m_upper_bound])
+def test_type_tag_outside_one_and_two_is_rejected(route, t):
+    with pytest.raises(ValueError, match=f"type tag must be 1 or 2, got {t!r}"):
+        route(Group2Params(0.0, 0.0, -0.5, np.array([[0.2, 0.1], [0.3, -0.4]]), t))
 
 
 def test_region_params_for_state():

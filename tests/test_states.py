@@ -214,7 +214,7 @@ def test_group2_extraction_zz():
         xd.perp_set(xd.pauli_to_point("ZZ")),
         {"ZI": 0.1, "IZ": 0.2, "ZZ": 0.3, "XX": 0.4, "XY": 0.5, "YX": 0.6, "YY": 0.7},
     )
-    params = xd.extract_group2_params(state, t=1)
+    params = xd.extract_group2_params(state)
     assert params.beta0 == 0.3
     assert (params.tau1, params.tau2) == (0.1, 0.2)
     np.testing.assert_allclose(params.m, [[0.4, 0.5], [0.6, 0.7]])
@@ -225,14 +225,14 @@ def test_group2_extraction_xx_block():
         xd.perp_set(xd.pauli_to_point("XX")),
         {"XX": 0.3, "YY": 0.4, "YZ": 0.5, "ZY": 0.6, "ZZ": 0.7},
     )
-    params = xd.extract_group2_params(state, t=1)
+    params = xd.extract_group2_params(state)
     assert params.beta0 == 0.3
     np.testing.assert_allclose(params.m, [[0.4, 0.5], [0.6, 0.7]])  # {y,z} x {y,z}
 
 
 def test_group2_extraction_zero_state():
     params = xd.extract_group2_params(
-        xd.hyperplane_state(xd.perp_set(xd.pauli_to_point("ZZ")), {}), t=1
+        xd.hyperplane_state(xd.perp_set(xd.pauli_to_point("ZZ")), {})
     )
     assert params.beta0 == 0.0 and params.tau1 == 0.0 and params.tau2 == 0.0
     np.testing.assert_allclose(params.m, np.zeros((2, 2)))
@@ -240,16 +240,16 @@ def test_group2_extraction_zero_state():
 
 def test_group2_extraction_rejects_wrong_kinds():
     with pytest.raises(ValueError):
-        xd.extract_group2_params(xd.hyperplane_state(xd.perp_set(xd.pauli_to_point("IX")), {}), t=1)
+        xd.extract_group2_params(xd.hyperplane_state(xd.perp_set(xd.pauli_to_point("IX")), {}))
     with pytest.raises(ValueError):
-        xd.extract_group2_params(xd.make_named_state("q0_state"), t=1)
+        xd.extract_group2_params(xd.make_named_state("q0_state"))
     with pytest.raises(ValueError):
-        xd.extract_group2_params(xd.make_named_state("ovoid_o1_state"), t=1)
+        xd.extract_group2_params(xd.make_named_state("ovoid_o1_state"))
 
 
 def test_group2_extraction_from_grid():
     q5 = xd.make_named_state("q5_state", coefficients={"XX": 0.2, "YY": 0.3, "ZZ": 0.4, "ZX": 0.5, "XZ": 0.6})
-    params = xd.extract_group2_params(q5, t=1)
+    params = xd.extract_group2_params(q5)
     # the grid shares the YY family's correlation support
     assert params.beta0 == 0.3
     assert params.tau1 == 0.0 and params.tau2 == 0.0
@@ -303,7 +303,7 @@ def test_builders_round_trip_through_extraction():
         tau1, tau2, beta0 = rng.uniform(-1, 1, 3)
         m = rng.uniform(-1, 1, (2, 2))
         state = group2_state(center, tau1, tau2, beta0, m)
-        params = xd.extract_group2_params(state, t=1)
+        params = xd.extract_group2_params(state)
         assert (params.tau1, params.tau2, params.beta0) == (tau1, tau2, beta0)
         np.testing.assert_allclose(params.m, m)
     for center in (1, 4):  # IX, XI

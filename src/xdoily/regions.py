@@ -110,8 +110,11 @@ def l_minus(params: Group2Params) -> float:
 
 
 def tau_is_zero(*taus) -> bool:
-    """The one rule for tau = 0, on every route that needs it: no |tau| exceeds VALIDITY_TOL."""
-    return not any((np.abs(tau) > VALIDITY_TOL).any() for tau in taus)
+    """The one rule for tau = 0, on every route that needs it: every |tau| is within VALIDITY_TOL.
+
+    A NaN tau is not zero.
+    """
+    return all(np.all(np.abs(tau) <= VALIDITY_TOL) for tau in taus)
 
 
 def _require_tau_zero(params: Group2Params) -> None:

@@ -228,6 +228,12 @@ def test_purity_link_counts_tau_as_zero_as_the_disc_route_does():
     assert xd.classify_by_region(near_zero) == "entangled"
 
 
+@pytest.mark.parametrize("tau", [(np.nan, 0.0), (0.0, np.nan)])
+def test_purity_link_rejects_nan_tau(tau):
+    with pytest.raises(ValueError):
+        purity_equivalence_check(_params(0.1, [[0.2, 0.1], [0.3, -0.4]], tau=tau))
+
+
 def test_purity_equivalence_sweep():
     rng = np.random.default_rng(31)
     checked = 0

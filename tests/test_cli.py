@@ -274,6 +274,15 @@ def test_verify_all_matches_golden():
     assert out == (DATA / "verify_all_golden.txt").read_text(encoding="utf-8")
 
 
+def test_verify_all_default_draws_matches_golden():
+    # Written by the CLI at the default --draws 10000 before the general-tau
+    # sweep drew from the outcome tetrahedron; only counts are printed from
+    # that sweep, so a change of its proposal must leave this text alone.
+    code, out, _ = run_cli("verify", "all", "--seed", "42")
+    assert code == 0
+    assert out == (DATA / "verify_all_default_golden.txt").read_text(encoding="utf-8")
+
+
 def test_verify_zero_draws_is_usage_error():
     code, _, _ = run_cli("verify", "region", "--draws", "0")
     assert code == 64

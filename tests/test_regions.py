@@ -79,6 +79,13 @@ def test_classify_rejects_nonzero_tau():
         dual_classify_by_region(_params(0.1, np.zeros((2, 2)), tau=(0.0, 0.2)))
 
 
+@pytest.mark.parametrize("route", [classify_by_region, dual_classify_by_region])
+@pytest.mark.parametrize("tau", [(np.nan, 0.0), (0.0, np.nan)])
+def test_classify_rejects_nan_tau(route, tau):
+    with pytest.raises(ValueError):
+        route(_params(0.1, [[0.2, 0.1], [0.3, -0.4]], tau=tau))
+
+
 @pytest.mark.parametrize("center", GROUP2_CENTERS)
 def test_region_matches_ppt(center):
     t = detect_type(center)
